@@ -18,12 +18,14 @@ included for zero-shot inspection of individual frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .featurestore import FrameEmbeddingSequence, TextEmbeddingTable
+from .nn import softmax, softmax_backward
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
@@ -174,12 +176,6 @@ def init_cross_attention(rng: np.random.Generator, c: int, d_attn: int, n_heads:
     )
 
 
-def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_attention_forward(params: CrossAttentionParams, query: np.ndarray,
                             frames: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched forward pass; frames has shape (B, N, c), query (c,).
@@ -187,6 +183,8 @@ def cross_attention_forward(params: CrossAttentionParams, query: np.ndarray,
     Per head h the frames are projected into keys and values, the projected
     query scores every key, and softmax(q_h . K_h^T / sqrt(d_head)) weights
     the values. Head outputs are concatenated and projected back to width c.
+    The projections run as 2-D GEMMs over all B*N frames; the per-head
+    products are batched matmuls over (B, H).
 
     Returns (descriptors (B, c), cache) where the cache carries everything
     the backward pass needs, including the attention weights (B, H, N).
@@ -202,22 +200,31 @@ def cross_attention_forward(params: CrossAttentionParams, query: np.ndarray,
         raise ValidationError(f"frame width {c} does not match attention params width {params.c}")
     H, dh = params.n_heads, params.d_head
 
-    q = query @ params.W_q                      # (d_attn,)
-    qh = q.reshape(H, dh)
-    K = frames @ params.W_k                     # (B, N, d_attn)
-    V = frames @ params.W_v
-    Kh = K.reshape(B, N, H, dh)
-    Vh = V.reshape(B, N, H, dh)
-    scores = np.einsum("bnhd,hd->bhn", Kh, qh) / np.sqrt(dh)
-    weights = _softmax_lastaxis(scores)         # (B, H, N)
-    heads = np.einsum("bhn,bnhd->bhd", weights, Vh)
-    concat = heads.reshape(B, H * dh)
+    rows = frames.reshape(B * N, c)
+    qh = (query @ params.W_q).reshape(H, dh)
+    Kh = _split_heads(rows @ params.W_k, B, N, H)           # (B, H, N, dh)
+    Vh = _split_heads(rows @ params.W_v, B, N, H)
+    # a Python-float divisor keeps float32 scores in float32
+    scores = (Kh @ qh[:, :, None])[..., 0] / math.sqrt(dh)  # (B, H, N)
+    weights = softmax(scores)
+    concat = (weights[:, :, None, :] @ Vh).reshape(B, H * dh)
     out = concat @ params.W_o                   # (B, c)
     cache = {
-        "query": query, "frames": frames, "qh": qh, "Kh": Kh, "Vh": Vh,
+        "query": query, "rows": rows, "qh": qh, "Kh": Kh, "Vh": Vh,
         "weights": weights, "concat": concat,
     }
     return out, cache
+
+
+def _split_heads(x: np.ndarray, B: int, N: int, H: int) -> np.ndarray:
+    """(B*N, H*dh) -> (B, H, N, dh) view."""
+    return x.reshape(B, N, H, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, H, N, dh) -> (B*N, H*dh)."""
+    B, H, N, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B * N, H * dh)
 
 
 def cross_attention_backward(params: CrossAttentionParams, cache: dict,
@@ -227,33 +234,26 @@ def cross_attention_backward(params: CrossAttentionParams, cache: dict,
     Returns (param_grads, d_query, d_frames); d_query is summed over the
     batch because the query is shared.
     """
-    frames = cache["frames"]
-    B, N, c = frames.shape
-    H, dh = params.n_heads, params.d_head
-    weights, Vh, Kh, qh = cache["weights"], cache["Vh"], cache["Kh"], cache["qh"]
+    weights, Kh, Vh, qh = cache["weights"], cache["Kh"], cache["Vh"], cache["qh"]
+    rows = cache["rows"]
+    B, H, N, dh = Kh.shape
 
     dW_o = cache["concat"].T @ d_out
-    d_concat = d_out @ params.W_o.T
-    d_heads = d_concat.reshape(B, H, dh)
+    d_heads = (d_out @ params.W_o.T).reshape(B, H, dh)
 
-    d_weights = np.einsum("bhd,bnhd->bhn", d_heads, Vh)
-    dVh = np.einsum("bhn,bhd->bnhd", weights, d_heads)
-    # softmax jacobian-vector product, rows are independent probability vectors
-    d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=-1, keepdims=True))
-    d_scores = d_scores / np.sqrt(dh)
+    d_weights = (Vh @ d_heads[..., None])[..., 0]           # (B, H, N)
+    dVh = weights[..., None] * d_heads[:, :, None, :]       # (B, H, N, dh)
+    d_scores = softmax_backward(weights, d_weights) / math.sqrt(dh)
 
-    dqh = np.einsum("bhn,bnhd->hd", d_scores, Kh)
-    dKh = np.einsum("bhn,hd->bnhd", d_scores, qh)
-
-    dq = dqh.reshape(H * dh)
+    dq = (d_scores[:, :, None, :] @ Kh).sum(axis=0).reshape(H * dh)
+    dKh = d_scores[..., None] * qh[:, None, :]
     dW_q = np.outer(cache["query"], dq)
     d_query = params.W_q @ dq
 
-    dK = dKh.reshape(B, N, H * dh)
-    dV = dVh.reshape(B, N, H * dh)
-    dW_k = np.einsum("bnc,bnd->cd", frames, dK)
-    dW_v = np.einsum("bnc,bnd->cd", frames, dV)
-    d_frames = dK @ params.W_k.T + dV @ params.W_v.T
+    dK, dV = _merge_heads(dKh), _merge_heads(dVh)           # (B*N, d_attn)
+    dW_k = rows.T @ dK
+    dW_v = rows.T @ dV
+    d_frames = (dK @ params.W_k.T + dV @ params.W_v.T).reshape(B, N, -1)
 
     grads = {"W_q": dW_q, "W_k": dW_k, "W_v": dW_v, "W_o": dW_o}
     return grads, d_query, d_frames

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .aggregate import probe_record, zero_shot_probe
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 from .featurestore import FeatureStore
 from .harness import DEFAULT_PROMPT_TEMPLATE, TrainConfig, build_label_tables, run_eval, train
 from .synthdata import SynthConfig, generate
@@ -27,14 +27,7 @@ def _load_config_dict(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"config file {p} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config file {p} must hold a JSON object")
-    return raw
+    return read_json_object(p, "config file")
 
 
 def _build_config(cls, config_dict: dict, overrides: dict):

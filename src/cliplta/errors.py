@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
 Two categories, mirroring the CLI exit codes: bad inputs (schemas,
-preconditions, lookups) and numeric/runtime failures.
+preconditions, lookups) and numeric/runtime failures. ``read_json_object``
+is the one JSON reader, so a malformed file is always a bad input.
 """
+
+import json
+from pathlib import Path
 
 
 class ValidationError(ValueError):
@@ -11,3 +15,15 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """Numeric failure at runtime (non-finite loss, corrupt blob). CLI exit 3."""
+
+
+def read_json_object(path: Path, what: str) -> dict:
+    """Parse ``path`` as a JSON object; raises ValidationError naming ``what`` and the path."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValidationError(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return raw

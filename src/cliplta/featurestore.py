@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, read_json_object
 from .taxonomy import CATEGORIES, Taxonomy
 
 MANIFEST_NAME = "manifest.json"
@@ -229,8 +229,7 @@ class FeatureStore:
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.is_file():
             raise ValidationError(f"no sealed store at {root} (missing {MANIFEST_NAME})")
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = read_json_object(manifest_path, "store manifest")
         if manifest.get("dtype") != DTYPE_TAG:
             raise ValidationError(f"unsupported store dtype {manifest.get('dtype')!r}")
         store = cls(root, int(manifest["c"]), int(manifest["d_video"]), writable=False)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -198,7 +199,23 @@ def precompute_descriptors(dataset: Dataset, model_cfg: LtaModelConfig,
 
 
 def _cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
+    # a Python float, so scaling a float32 gradient by it stays float32
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
+
+
+def _sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                       velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
+    """v = momentum * v - lr * g; p += v for every name in ``velocity``, in place.
+
+    Scales the gradients by lr in place, so the step allocates nothing; the
+    gradients are zeroed before the next backward pass reads them.
+    """
+    for name, v in velocity.items():
+        g = grads[name]
+        v *= momentum
+        g *= lr
+        v -= g
+        params[name] += v
 
 
 def _example_sample_seed(seed: int, example_id: str) -> int:
@@ -208,6 +225,14 @@ def _example_sample_seed(seed: int, example_id: str) -> int:
 
 def _predict_dataset(model: LtaModel, dataset: Dataset, K: int, temperature: float,
                      seed: int, batch_size: int = 64) -> list[PredictionSet]:
+    """Candidate sets for every example, predicted ``batch_size`` examples at a time.
+
+    Prediction bytes are a function of ``batch_size``: the linear layers run
+    one 2-D GEMM per batch, whose summation order depends on the row count,
+    so an example's logits can move in the last bits (below 1e-5 relative)
+    with the batch it shares, and a sampled candidate could flip. Every
+    caller uses the default of 64, which keeps predictions reproducible.
+    """
     predictions = []
     for start in range(0, len(dataset), batch_size):
         idx = np.arange(start, min(start + batch_size, len(dataset)))
@@ -283,9 +308,8 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
         val_dataset = load_dataset(store, val_gt, n_input_clips)
         precompute_descriptors(val_dataset, model_cfg, tables)
 
-    trainable = model.trainable_names()
     params = model.named_parameters()
-    velocity = {name: np.zeros_like(params[name]) for name in trainable}
+    velocity = {name: np.zeros_like(params[name]) for name in model.trainable_names()}
     shuffle_rng = np.random.default_rng(cfg.seed)
 
     out_dir = Path(cfg.out_dir)
@@ -309,12 +333,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_index}")
             model.zero_grad()
             model.backward_batch(cache, d_verb, d_noun)
-            grads = model.named_grads()
-            for name in trainable:
-                v = velocity[name]
-                v *= cfg.momentum
-                v -= lr * grads[name]
-                params[name] += v
+            _sgd_momentum_step(params, model.named_grads(), velocity, lr, cfg.momentum)
             epoch_losses.append(loss)
 
         record = {

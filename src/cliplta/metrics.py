@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 from .model import PredictionSet, read_predictions
 from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy
 
@@ -147,16 +147,15 @@ def write_ground_truth(path: str | Path, sequences: list[GroundTruthSequence], Z
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        # dumps, unlike dump, uses the C encoder; the bytes are the same
+        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int, str]:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"ground truth file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = read_json_object(path, "ground truth file")
     if payload.get("version") != 1:
         raise ValidationError(f"unsupported ground truth file version {payload.get('version')!r}")
     for key in ("Z", "taxonomy_sha256", "examples"):

@@ -35,7 +35,7 @@ from .aggregate import (
     cross_attention_forward,
     init_cross_attention,
 )
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 from .featurestore import stub_embed
 from .taxonomy import GroundTruthSequence
 
@@ -495,10 +495,8 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
     config_path = ckpt_dir / CONFIG_FILE
     if not config_path.is_file():
         raise ValidationError(f"no checkpoint at {ckpt_dir} (missing {CONFIG_FILE})")
-    with open(config_path, encoding="utf-8") as f:
-        config = LtaModelConfig(**json.load(f))
-    with open(ckpt_dir / PARAMS_MANIFEST, encoding="utf-8") as f:
-        manifest = json.load(f)
+    config = LtaModelConfig(**read_json_object(config_path, "checkpoint config"))
+    manifest = read_json_object(ckpt_dir / PARAMS_MANIFEST, "checkpoint manifest")
     model = LtaModel(config, dtype=dtype)
     params = model.named_parameters()
     if set(manifest) != set(params):
@@ -536,8 +534,8 @@ def write_predictions(path: str | Path, predictions: list[PredictionSet], Z: int
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        # dumps, unlike dump, uses the C encoder; the bytes are the same
+        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_predictions(path: str | Path) -> tuple[dict, int, int, str]:
@@ -545,8 +543,7 @@ def read_predictions(path: str | Path) -> tuple[dict, int, int, str]:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"prediction file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = read_json_object(path, "prediction file")
     if payload.get("version") != 1:
         raise ValidationError(f"unsupported prediction file version {payload.get('version')!r}")
     for key in ("Z", "K", "taxonomy_sha256", "predictions"):

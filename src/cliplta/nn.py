@@ -13,6 +13,8 @@ place so the name -> array references stay valid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -38,15 +40,21 @@ class Linear:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
+    # Leading axes are flattened so every product is one 2-D GEMM; a 3-D
+    # matmul would run one small GEMM per leading index.
     def forward(self, x: np.ndarray):
-        return x @ self.W + self.b, x
+        d_in, d_outw = self.W.shape
+        y = x.reshape(-1, d_in) @ self.W
+        y += self.b
+        return y.reshape(x.shape[:-1] + (d_outw,)), x
 
     def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
         x = cache
         d_in, d_outw = self.W.shape
-        self.dW += x.reshape(-1, d_in).T @ d_out.reshape(-1, d_outw)
-        self.db += d_out.reshape(-1, d_outw).sum(axis=0)
-        return d_out @ self.W.T
+        g = d_out.reshape(-1, d_outw)
+        self.dW += x.reshape(-1, d_in).T @ g
+        self.db += g.sum(axis=0)
+        return (g @ self.W.T).reshape(x.shape)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.W", self.W
@@ -129,7 +137,8 @@ class MultiHeadAttention:
         K, ck = self.k_proj.forward(kv_in)
         V, cv = self.v_proj.forward(kv_in)
         Qh, Kh, Vh = self._split(Q), self._split(K), self._split(V)
-        scores = Qh @ Kh.transpose(0, 1, 3, 2) / np.sqrt(self.d_head)
+        # a Python-float divisor keeps float32 scores in float32
+        scores = Qh @ Kh.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
         A = softmax(scores)
         ctx = A @ Vh
         out, co = self.o_proj.forward(self._merge(ctx))
@@ -141,7 +150,7 @@ class MultiHeadAttention:
         d_ctx = self._split(self.o_proj.backward(co, d_out))
         dA = d_ctx @ Vh.transpose(0, 1, 3, 2)
         dVh = A.transpose(0, 1, 3, 2) @ d_ctx
-        dS = softmax_backward(A, dA) / np.sqrt(self.d_head)
+        dS = softmax_backward(A, dA) / math.sqrt(self.d_head)
         dQh = dS @ Kh
         dKh = dS.transpose(0, 1, 3, 2) @ Qh
         d_q_in = self.q_proj.backward(cq, self._merge(dQh))

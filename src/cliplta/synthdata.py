@@ -207,6 +207,6 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
         json.dump(asdict(cfg), f, indent=2)
         f.write("\n")
     with open(out_dir / "latents.json", "w", encoding="utf-8") as f:
-        json.dump(latents, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        # dumps, unlike dump, uses the C encoder; the bytes are the same
+        f.write(json.dumps(latents, sort_keys=True, separators=(",", ":")) + "\n")
     return dataset

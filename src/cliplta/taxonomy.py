@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, read_json_object
 
 CATEGORIES = ("verb", "noun", "scenario", "place")
 
@@ -107,13 +107,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"taxonomy file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"taxonomy file {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ValidationError(f"taxonomy file {path} must hold a JSON object")
+    raw = read_json_object(path, "taxonomy file")
     for key in ("verbs", "nouns", "scenarios", "places"):
         if key not in raw:
             raise ValidationError(f"taxonomy file {path} is missing key '{key}'")

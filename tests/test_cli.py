@@ -150,3 +150,15 @@ class TestExitCodes:
             "--taxonomy", str(workspace / "data" / "taxonomy.json"),
             "--clip", "train_00000#0",
         ]) == 3
+
+    def test_truncated_ground_truth_is_2_and_named(self, workspace, tmp_path, capsys):
+        gt = tmp_path / "gt_val.json"
+        gt.write_bytes((workspace / "data" / "gt_val.json").read_bytes()[:-20])
+        assert main([
+            "eval", "--checkpoint", str(workspace / "run" / "checkpoint"),
+            "--store", str(workspace / "data" / "store"), "--gt", str(gt),
+            "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+            "--out-dir", str(tmp_path / "e"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(gt) in err

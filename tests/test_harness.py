@@ -14,8 +14,10 @@ from cliplta import (
     run_eval,
     train,
 )
+from cliplta import harness
 from cliplta.harness import _predict_dataset, infer_clips_per_example, load_dataset
 from cliplta.metrics import read_ground_truth, write_ground_truth
+from cliplta.model import VARIANTS, read_predictions
 from cliplta.taxonomy import ActionLabel, GroundTruthSequence, load_taxonomy
 
 
@@ -104,6 +106,23 @@ class TestTrain:
         with pytest.raises(ValidationError, match="hash"):
             train(train_config(synth, tmp_path / "x", taxonomy=str(bad_tax)))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_optimizer_state_stays_float32(self, synth, tmp_path, monkeypatch, variant):
+        steps = []
+        real_step = harness._sgd_momentum_step
+
+        def spy(params, grads, velocity, lr, momentum):
+            assert type(lr) is float  # an np.float64 lr would upcast the update
+            assert all(g.dtype == np.float32 for g in grads.values())
+            real_step(params, grads, velocity, lr, momentum)
+            steps.append(velocity)
+
+        monkeypatch.setattr(harness, "_sgd_momentum_step", spy)
+        train(train_config(synth, tmp_path / "r", variant=variant, epochs=1, n_heads_ca=2))
+        assert len(steps) == 6  # 24 examples in batches of 4
+        for name, v in steps[-1].items():
+            assert v.dtype == np.float32, name
+
 
 @pytest.fixture(scope="module")
 def trained(synth, tmp_path_factory):
@@ -168,3 +187,38 @@ class TestRunEval:
         saved = json.loads((tmp_path / "r" / "report.json").read_text())
         assert saved["verb_ed"] == report.verb_ed
         assert saved["n_examples"] == report.n_examples
+
+    def test_multi_batch_predictions_are_byte_identical(self, tmp_path):
+        # 70 examples span a full eval batch of 64 and a partial one
+        data = generate(SynthConfig(n_train=8, n_val=70, n_input_clips=2, N=4, c=8, d_video=8,
+                                    Z=3, n_verbs=5, n_nouns=6, seed=2), tmp_path / "data")
+        ckpt, _ = train(train_config(data, tmp_path / "run", variant="clip_attention",
+                                     epochs=1, n_heads_ca=2))
+        files = [run_eval(ckpt, data.store_path, data.gt_val_path, data.taxonomy_path,
+                          K=5, seed=1, out_dir=tmp_path / tag)[0].read_bytes() for tag in ("a", "b")]
+        assert files[0] == files[1]
+        assert len(json.loads(files[0])["predictions"]) == 70
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("target", ["gt", "predictions", "store", "ckpt_config", "ckpt_manifest"])
+    def test_truncated_file_is_validation_error_naming_it(self, synth, trained, tmp_path, target):
+        import shutil
+
+        pred_file, _ = run_eval(trained, synth.store_path, synth.gt_val_path, synth.taxonomy_path,
+                                K=2, seed=0, out_dir=tmp_path / "eval")
+        store = shutil.copytree(synth.store_path, tmp_path / "store")
+        ckpt = shutil.copytree(trained, tmp_path / "ckpt")
+        gt = shutil.copy(synth.gt_val_path, tmp_path / "gt.json")
+        path, read = {
+            "gt": (gt, lambda: read_ground_truth(gt)),
+            "predictions": (pred_file, lambda: read_predictions(pred_file)),
+            "store": (store / "manifest.json", lambda: FeatureStore.open(store)),
+            "ckpt_config": (ckpt / "config.json", lambda: load_checkpoint(ckpt)),
+            "ckpt_manifest": (ckpt / "params.json", lambda: load_checkpoint(ckpt)),
+        }[target]
+        path = Path(path)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(ValidationError, match="not valid JSON") as info:
+            read()
+        assert str(path) in str(info.value)

@@ -17,7 +17,7 @@ from cliplta import (
     sample_candidates,
     save_checkpoint,
 )
-from cliplta.model import batch_loss_and_grads
+from cliplta.model import VARIANTS, batch_loss_and_grads
 from cliplta.taxonomy import ActionLabel
 from helpers import finite_difference, max_rel_err
 
@@ -124,8 +124,7 @@ class TestForward:
         with pytest.raises(ValidationError, match="tokens"):
             model.forward([rng.standard_normal(cfg.d_model)])
 
-    @pytest.mark.parametrize("variant", ["baseline", "clip_img_only", "img_plus_clip",
-                                         "img_plus_clip_text", "clip_attention"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradients_every_variant(self, variant, rng):
         cfg = tiny_config(variant, n_verbs=3, n_nouns=3, learned_query=True)
         model = LtaModel(cfg, dtype=np.float64)
@@ -146,6 +145,53 @@ class TestForward:
         for name, arr in model.named_parameters().items():
             numeric = finite_difference(loss, arr)
             assert max_rel_err(grads[name], numeric) < 1e-4, f"{variant}:{name}"
+
+
+def cached_arrays(obj):
+    """Every ndarray inside a nested forward cache."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from cached_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from cached_arrays(value)
+
+
+class TestFloat32:
+    """A float32 model computes in float32 end to end, whatever dtype its inputs have."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_cache_and_grads_stay_float32(self, variant, rng):
+        cfg = tiny_config(variant, learned_query=True)
+        model = LtaModel(cfg)
+        batch = make_batch(cfg, rng, B=3)  # float64 inputs
+        v, n, cache = model.forward_batch(batch)
+        assert v.dtype == np.float32 and n.dtype == np.float32
+        arrays = list(cached_arrays(cache))
+        assert arrays
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+        _, dv, dn = batch_loss_and_grads(v, n, rng.integers(0, cfg.n_verbs, (3, cfg.Z)),
+                                         rng.integers(0, cfg.n_nouns, (3, cfg.Z)))
+        model.zero_grad()
+        model.backward_batch(cache, dv, dn)
+        for name, grad in model.named_grads().items():
+            assert grad.dtype == np.float32, name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_logits_independent_of_batch_size(self, variant, rng):
+        # the 2-D GEMMs sum in an order that depends on the row count, so
+        # batch 64 and batch 1 may differ in the last bits, never by more
+        cfg = tiny_config(variant, c=16, d_video=16, d_ff=32, d_attn=16, n_heads_agg=4,
+                          n_heads_ca=4, n_verbs=11, n_nouns=13, Z=5)
+        model = LtaModel(cfg)
+        batch = make_batch(cfg, rng, B=64, N=6)
+        v64, n64, _ = model.forward_batch(batch)
+        for b in range(64):
+            v1, n1, _ = model.forward_batch({k: x[b:b + 1] for k, x in batch.items()})
+            for one, many in ((v1[0], v64[b]), (n1[0], n64[b])):
+                assert np.abs(one - many).max() <= 1e-5 * np.abs(many).max(), b
 
 
 class TestLoss:

@@ -1,10 +1,13 @@
 import hashlib
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cliplta import FeatureStore, SynthConfig, ValidationError, generate, mean_pool
+from cliplta.model import PredictionSet, write_predictions
 from cliplta.synthdata import frame_prototype, label_sequence, video_prototype
 
 
@@ -30,6 +33,21 @@ class TestGenerate:
         generate(cfg, tmp_path / "a")
         generate(cfg, tmp_path / "b")
         assert tree_hash(tmp_path / "a") == tree_hash(tmp_path / "b")
+
+    def test_compact_json_writers_match_json_dump(self, tmp_path):
+        # the writers encode with json.dumps (C encoder); the bytes must be
+        # those json.dump (pure-Python encoder) gives for the same payload
+        data = generate(small_cfg(), tmp_path / "d")
+        write_predictions(tmp_path / "pred.json",
+                          [PredictionSet("b", [[0, 1, 2]], [[3, 2, 1]]),
+                           PredictionSet("a", [[1, 1, 0]], [[0, 0, 0]])],
+                          Z=3, K=1, taxonomy_sha256="f" * 64)
+        for path in (data.gt_train_path, data.gt_val_path, data.root / "latents.json",
+                     tmp_path / "pred.json"):
+            written = Path(path).read_text(encoding="utf-8")
+            expected = io.StringIO()
+            json.dump(json.loads(written), expected, sort_keys=True, separators=(",", ":"))
+            assert written == expected.getvalue() + "\n", path
 
     def test_different_seed_changes_bytes(self, tmp_path):
         generate(small_cfg(seed=1), tmp_path / "a")
