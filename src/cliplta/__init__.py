@@ -14,7 +14,6 @@ Library layout:
 
 from .aggregate import (
     ClipDescriptor,
-    CrossAttentionParams,
     ProbeReport,
     cross_attention_aggregate,
     img_text_concat,
@@ -35,13 +34,10 @@ from .featurestore import (
 from .harness import RunLog, TrainConfig, run_eval, train
 from .metrics import EvalReport, ed_at_zk, edit_distance, evaluate
 from .model import (
-    FusedClipToken,
     LtaModel,
     LtaModelConfig,
     PredictionSet,
     StepLogits,
-    anticipation_loss,
-    fuse,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
@@ -51,8 +47,6 @@ from .taxonomy import (
     ActionLabel,
     GroundTruthSequence,
     Taxonomy,
-    decode_action,
-    encode_action,
     load_taxonomy,
     save_taxonomy,
 )

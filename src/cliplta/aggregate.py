@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .featurestore import FrameEmbeddingSequence, TextEmbeddingTable
-from .nn import softmax, softmax_backward
+from .nn import Module, softmax, softmax_backward
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
@@ -116,67 +116,43 @@ def img_text_concat(frames, tables: dict[str, TextEmbeddingTable]) -> ClipDescri
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrossAttentionParams:
+class CrossAttention(Module):
     """Projections for single-query multi-head attention over frames.
 
     W_q, W_k, W_v: (c, d_attn); W_o: (d_attn, c); no biases. d_attn must be
-    divisible by n_heads.
+    divisible by n_heads. :func:`cross_attention_backward` returns the
+    gradients and the caller adds them into ``grads``. ``LtaModel`` also
+    registers the query it attends with here, as ``query``.
     """
 
-    W_q: np.ndarray
-    W_k: np.ndarray
-    W_v: np.ndarray
-    W_o: np.ndarray
-    n_heads: int
-
-    def __post_init__(self):
-        for name in ("W_q", "W_k", "W_v", "W_o"):
-            mat = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(mat)):
-                raise ValidationError(f"attention parameter {name} contains non-finite values")
-            setattr(self, name, mat)
-        c, d_attn = self.W_q.shape
-        if self.W_k.shape != (c, d_attn) or self.W_v.shape != (c, d_attn):
-            raise ValidationError("W_q, W_k, W_v must share the shape (c, d_attn)")
-        if self.W_o.shape != (d_attn, c):
-            raise ValidationError(f"W_o must have shape ({d_attn}, {c}), got {self.W_o.shape}")
-        if self.n_heads < 1 or d_attn % self.n_heads != 0:
-            raise ValidationError(f"d_attn={d_attn} must be divisible by n_heads={self.n_heads}")
+    def __init__(self, rng: np.random.Generator, c: int, d_attn: int, n_heads: int, dtype=np.float64):
+        super().__init__()
+        if d_attn % n_heads != 0:
+            raise ValidationError(f"d_attn={d_attn} must be divisible by n_heads={n_heads}")
+        self.n_heads = n_heads
+        bq = 1.0 / np.sqrt(c)
+        bo = 1.0 / np.sqrt(d_attn)
+        self.W_q, _ = self.param("W_q", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_k, _ = self.param("W_k", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_v, _ = self.param("W_v", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_o, _ = self.param("W_o", rng.uniform(-bo, bo, (d_attn, c)).astype(dtype))
 
     @property
     def c(self) -> int:
         return self.W_q.shape[0]
 
     @property
-    def d_attn(self) -> int:
-        return self.W_q.shape[1]
-
-    @property
     def d_head(self) -> int:
-        return self.d_attn // self.n_heads
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {"W_q": self.W_q, "W_k": self.W_k, "W_v": self.W_v, "W_o": self.W_o}
+        return self.W_q.shape[1] // self.n_heads
 
 
 def init_cross_attention(rng: np.random.Generator, c: int, d_attn: int, n_heads: int,
-                         dtype=np.float64) -> CrossAttentionParams:
+                         dtype=np.float64) -> CrossAttention:
     """Symmetric-uniform init scaled by 1/sqrt(fan_in)."""
-    if d_attn % n_heads != 0:
-        raise ValidationError(f"d_attn={d_attn} must be divisible by n_heads={n_heads}")
-    bq = 1.0 / np.sqrt(c)
-    bo = 1.0 / np.sqrt(d_attn)
-    return CrossAttentionParams(
-        W_q=rng.uniform(-bq, bq, (c, d_attn)).astype(dtype),
-        W_k=rng.uniform(-bq, bq, (c, d_attn)).astype(dtype),
-        W_v=rng.uniform(-bq, bq, (c, d_attn)).astype(dtype),
-        W_o=rng.uniform(-bo, bo, (d_attn, c)).astype(dtype),
-        n_heads=n_heads,
-    )
+    return CrossAttention(rng, c, d_attn, n_heads, dtype)
 
 
-def cross_attention_forward(params: CrossAttentionParams, query: np.ndarray,
+def cross_attention_forward(params: CrossAttention, query: np.ndarray,
                             frames: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched forward pass; frames has shape (B, N, c), query (c,).
 
@@ -227,7 +203,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B * N, H * dh)
 
 
-def cross_attention_backward(params: CrossAttentionParams, cache: dict,
+def cross_attention_backward(params: CrossAttention, cache: dict,
                              d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Gradients of the batched forward pass.
 
@@ -259,14 +235,14 @@ def cross_attention_backward(params: CrossAttentionParams, cache: dict,
     return grads, d_query, d_frames
 
 
-def cross_attention_aggregate(params: CrossAttentionParams, query: np.ndarray, frames) -> ClipDescriptor:
+def cross_attention_aggregate(params: CrossAttention, query: np.ndarray, frames) -> ClipDescriptor:
     """Single-clip convenience wrapper around the batched forward pass."""
     arr = _as_frames_array(frames)
     out, _ = cross_attention_forward(params, query, arr[None, :, :])
     return ClipDescriptor(vector=out[0])
 
 
-def cross_attention_weights(params: CrossAttentionParams, query: np.ndarray, frames) -> np.ndarray:
+def cross_attention_weights(params: CrossAttention, query: np.ndarray, frames) -> np.ndarray:
     """Per-head attention weights (n_heads, N); each row sums to 1."""
     arr = _as_frames_array(frames)
     _, cache = cross_attention_forward(params, query, arr[None, :, :])

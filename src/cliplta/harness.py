@@ -41,6 +41,7 @@ from .model import (
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
+    variant_spec,
     write_predictions,
 )
 from .taxonomy import CATEGORIES, GroundTruthSequence, Taxonomy, load_taxonomy
@@ -76,6 +77,7 @@ class TrainConfig:
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
 
     def __post_init__(self):
+        variant_spec(self.variant)
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -115,6 +117,14 @@ def build_label_tables(taxonomy: Taxonomy, c: int, text_seed: int,
     return {cat: build_text_table(taxonomy, cat, prompt_template, encoder) for cat in CATEGORIES}
 
 
+def _variant_tables(variant: str, taxonomy: Taxonomy, c: int, text_seed: int,
+                    prompt_template: str) -> dict[str, TextEmbeddingTable] | None:
+    """The label tables ``variant`` reads its clip descriptors from, or None if it reads none."""
+    if variant_spec(variant).clip_source != "text":
+        return None
+    return build_label_tables(taxonomy, c, text_seed, prompt_template)
+
+
 def infer_clips_per_example(store: FeatureStore, example_id: str) -> int:
     t = 0
     while f"{example_id}#{t}" in store:
@@ -138,11 +148,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.example_ids)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(Z, clips per example)."""
+        return self.verb_ids.shape[1], self.video.shape[1]
+
     def batch(self, idx: np.ndarray, model_cfg: LtaModelConfig) -> dict:
         out = {}
         if model_cfg.uses_video:
             out["video"] = self.video[idx]
-        if model_cfg.variant == "clip_attention":
+        if model_cfg.clip_source == "attention":
             out["frames"] = self.frames[idx]
         elif model_cfg.d_clip > 0:
             out["clip_desc"] = self.clip_desc[idx]
@@ -180,22 +195,45 @@ def load_dataset(store: FeatureStore, gt_list: list[GroundTruthSequence], n_inpu
     )
 
 
-def precompute_descriptors(dataset: Dataset, model_cfg: LtaModelConfig,
+def precompute_descriptors(dataset: Dataset, variant: str,
                            tables: dict[str, TextEmbeddingTable] | None) -> None:
     """Fill dataset.clip_desc for variants whose aggregation has no trainable parts."""
-    if model_cfg.variant in ("baseline", "clip_attention"):
-        return
-    B, T = dataset.frames.shape[:2]
-    if model_cfg.variant in ("clip_img_only", "img_plus_clip"):
+    source = variant_spec(variant).clip_source
+    if source == "mean":
         dataset.clip_desc = dataset.frames.mean(axis=2)
-    elif model_cfg.variant == "img_plus_clip_text":
+    elif source == "text":
         if tables is None:
-            raise ValidationError("img_plus_clip_text requires label text tables")
-        desc = np.empty((B, T, 5 * model_cfg.c), dtype=dataset.frames.dtype)
+            raise ValidationError(f"{variant} requires label text tables")
+        B, T, _, c = dataset.frames.shape
+        desc = np.empty((B, T, 5 * c), dtype=dataset.frames.dtype)
         for b in range(B):
             for t in range(T):
                 desc[b, t] = img_text_concat(dataset.frames[b, t], tables).vector
         dataset.clip_desc = desc
+
+
+def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, variant: str,
+               tables: dict[str, TextEmbeddingTable] | None,
+               shape: tuple[int, int] | None = None) -> tuple[Dataset, list[GroundTruthSequence]]:
+    """One split as model input: its checked ground truth and its batched clips.
+
+    The ground truth must reference ``taxonomy``. ``shape`` is the (Z, clips
+    per example) the split must have; without it the split sets its own.
+    """
+    gt_list, Z, gt_hash = read_ground_truth(gt_path)
+    if gt_hash != taxonomy.sha256():
+        raise ValidationError(f"ground truth {gt_path}: taxonomy hash does not match the taxonomy file")
+    if not gt_list:
+        raise ValidationError(f"ground truth {gt_path}: 'examples' is empty")
+    n_input_clips = infer_clips_per_example(store, gt_list[0].example_id)
+    if shape is not None and (Z, n_input_clips) != shape:
+        raise ValidationError(
+            f"ground truth {gt_path}: horizon Z={Z} with {n_input_clips} clips per example "
+            f"does not match the model's Z={shape[0]} with {shape[1]}"
+        )
+    dataset = load_dataset(store, gt_list, n_input_clips)
+    precompute_descriptors(dataset, variant, tables)
+    return dataset, gt_list
 
 
 def _cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -203,19 +241,18 @@ def _cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def _sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                       velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
-    """v = momentum * v - lr * g; p += v for every name in ``velocity``, in place.
+def _sgd_momentum_step(slots: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                       lr: float, momentum: float) -> None:
+    """v = momentum * v - lr * g; p += v for every (p, g, v) slot, in place.
 
     Scales the gradients by lr in place, so the step allocates nothing; the
     gradients are zeroed before the next backward pass reads them.
     """
-    for name, v in velocity.items():
-        g = grads[name]
+    for p, g, v in slots:
         v *= momentum
         g *= lr
         v -= g
-        params[name] += v
+        p += v
 
 
 def _example_sample_seed(seed: int, example_id: str) -> int:
@@ -267,10 +304,9 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     """
     taxonomy = load_taxonomy(cfg.taxonomy)
     store = FeatureStore.open(cfg.store)
-    gt_train, Z, gt_hash = read_ground_truth(cfg.gt)
-    if gt_hash != taxonomy.sha256():
-        raise ValidationError("ground truth taxonomy hash does not match the taxonomy file")
-    n_input_clips = infer_clips_per_example(store, gt_train[0].example_id)
+    tables = _variant_tables(cfg.variant, taxonomy, store.c, cfg.text_seed, cfg.prompt_template)
+    dataset, _ = load_split(store, cfg.gt, taxonomy, cfg.variant, tables)
+    Z, n_input_clips = dataset.shape
 
     model_cfg = LtaModelConfig(
         variant=cfg.variant,
@@ -293,23 +329,13 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     )
     model = LtaModel(model_cfg)
 
-    tables = None
-    if cfg.variant == "img_plus_clip_text":
-        tables = build_label_tables(taxonomy, store.c, cfg.text_seed, cfg.prompt_template)
-
-    dataset = load_dataset(store, gt_train, n_input_clips)
-    precompute_descriptors(dataset, model_cfg, tables)
-
     val_dataset, val_gt = None, None
     if cfg.val_gt:
-        val_gt, val_z, val_hash = read_ground_truth(cfg.val_gt)
-        if val_z != Z or val_hash != gt_hash:
-            raise ValidationError("validation ground truth is inconsistent with the training file")
-        val_dataset = load_dataset(store, val_gt, n_input_clips)
-        precompute_descriptors(val_dataset, model_cfg, tables)
+        val_dataset, val_gt = load_split(store, cfg.val_gt, taxonomy, cfg.variant, tables, dataset.shape)
 
-    params = model.named_parameters()
-    velocity = {name: np.zeros_like(params[name]) for name in model.trainable_names()}
+    # the registry hands out the same arrays on every call, so take them once
+    params, grads = model.named_parameters(), model.named_grads()
+    slots = [(params[name], grads[name], np.zeros_like(params[name])) for name in model.trainable_names()]
     shuffle_rng = np.random.default_rng(cfg.seed)
 
     out_dir = Path(cfg.out_dir)
@@ -333,7 +359,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_index}")
             model.zero_grad()
             model.backward_batch(cache, d_verb, d_noun)
-            _sgd_momentum_step(params, model.named_grads(), velocity, lr, cfg.momentum)
+            _sgd_momentum_step(slots, lr, cfg.momentum)
             epoch_losses.append(loss)
 
         record = {
@@ -371,27 +397,15 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     if not temperature > 0:
         raise ValidationError(f"temperature must be > 0, got {temperature}")
     model = checkpoint if isinstance(checkpoint, LtaModel) else load_checkpoint(checkpoint)
+    cfg = model.config
     taxonomy = load_taxonomy(taxonomy_path)
-    if len(taxonomy.verbs) != model.config.n_verbs or len(taxonomy.nouns) != model.config.n_nouns:
+    if len(taxonomy.verbs) != cfg.n_verbs or len(taxonomy.nouns) != cfg.n_nouns:
         raise ValidationError("taxonomy class counts do not match the checkpoint")
     store = FeatureStore.open(store_path)
-    if store.c != model.config.c or store.d_video != model.config.d_video:
+    if store.c != cfg.c or store.d_video != cfg.d_video:
         raise ValidationError("store widths do not match the checkpoint")
-    gt_list, Z, gt_hash = read_ground_truth(gt_path)
-    if gt_hash != taxonomy.sha256():
-        raise ValidationError("ground truth taxonomy hash does not match the taxonomy file")
-    if Z != model.config.Z:
-        raise ValidationError(f"ground truth horizon Z={Z} does not match the checkpoint Z={model.config.Z}")
-
-    n_input_clips = infer_clips_per_example(store, gt_list[0].example_id)
-    if n_input_clips != model.config.n_input_clips:
-        raise ValidationError("clips per example in the store do not match the checkpoint")
-    dataset = load_dataset(store, gt_list, n_input_clips)
-    tables = None
-    if model.config.variant == "img_plus_clip_text":
-        tables = build_label_tables(taxonomy, store.c, model.config.text_seed,
-                                    model.config.label_template)
-    precompute_descriptors(dataset, model.config, tables)
+    tables = _variant_tables(cfg.variant, taxonomy, store.c, cfg.text_seed, cfg.label_template)
+    dataset, _ = load_split(store, gt_path, taxonomy, cfg.variant, tables, (cfg.Z, cfg.n_input_clips))
 
     predictions = _predict_dataset(model, dataset, K, temperature, seed)
     if out_dir is None:
@@ -401,7 +415,7 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_file = out_dir / "predictions.json"
-    write_predictions(pred_file, predictions, Z, K, taxonomy.sha256())
+    write_predictions(pred_file, predictions, cfg.Z, K, taxonomy.sha256())
     report = evaluate(pred_file, gt_path, taxonomy)
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)

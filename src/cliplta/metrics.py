@@ -10,8 +10,7 @@ insert, delete, substitute, and adjacent transposition, with no restriction
 on later edits touching a transposed pair. Unlike the cheaper
 "optimal string alignment" shortcut, the unrestricted form is a true metric
 (symmetric, triangle inequality), which the min-over-K protocol implicitly
-assumes. Plain Levenshtein can be selected per call where a deployment
-requires it.
+assumes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .model import PredictionSet, read_predictions
 from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy
 
 
-def edit_distance(a: Sequence[int], b: Sequence[int], *, allow_transpositions: bool = True) -> int:
+def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Minimum number of unit edits turning ``a`` into ``b``.
 
     Dynamic program over prefix pairs; the transposition case tracks, for
@@ -37,8 +36,6 @@ def edit_distance(a: Sequence[int], b: Sequence[int], *, allow_transpositions: b
     a = list(a)
     b = list(b)
     la, lb = len(a), len(b)
-    if not allow_transpositions:
-        return _levenshtein(a, b)
     if la == 0:
         return lb
     if lb == 0:
@@ -73,18 +70,7 @@ def edit_distance(a: Sequence[int], b: Sequence[int], *, allow_transpositions: b
     return d[la + 1][lb + 1]
 
 
-def _levenshtein(a: list, b: list) -> int:
-    prev = list(range(len(b) + 1))
-    for i, sa in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, sb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (sa != sb))
-        prev = cur
-    return prev[-1]
-
-
-def ed_at_zk(pred: PredictionSet, gt: GroundTruthSequence, *,
-             allow_transpositions: bool = True) -> tuple[float, float]:
+def ed_at_zk(pred: PredictionSet, gt: GroundTruthSequence) -> tuple[float, float]:
     """Per-example (verb, noun) scores: min over candidates of distance / Z."""
     Z = len(gt.actions)
     if pred.Z != Z:
@@ -94,14 +80,8 @@ def ed_at_zk(pred: PredictionSet, gt: GroundTruthSequence, *,
         )
     gt_verbs = gt.verb_ids
     gt_nouns = gt.noun_ids
-    verb = min(
-        edit_distance(row.tolist(), gt_verbs, allow_transpositions=allow_transpositions)
-        for row in pred.verb_seqs
-    )
-    noun = min(
-        edit_distance(row.tolist(), gt_nouns, allow_transpositions=allow_transpositions)
-        for row in pred.noun_seqs
-    )
+    verb = min(edit_distance(row.tolist(), gt_verbs) for row in pred.verb_seqs)
+    noun = min(edit_distance(row.tolist(), gt_nouns) for row in pred.noun_seqs)
     return verb / Z, noun / Z
 
 
@@ -162,9 +142,14 @@ def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int,
         if key not in payload:
             raise ValidationError(f"ground truth file missing key '{key}'")
     Z = int(payload["Z"])
+    examples = payload["examples"]
+    if not isinstance(examples, dict):
+        raise ValidationError(f"ground truth file {path}: 'examples' must be an object of id -> entry")
     sequences = []
-    for example_id in sorted(payload["examples"]):
-        entry = payload["examples"][example_id]
+    for example_id in sorted(examples):
+        entry = examples[example_id]
+        if not isinstance(entry, dict):
+            raise ValidationError(f"ground truth file {path}: example {example_id!r} must be an object")
         verbs, nouns = entry.get("verb"), entry.get("noun")
         if not isinstance(verbs, list) or not isinstance(nouns, list):
             raise ValidationError(f"ground truth for {example_id!r} must hold verb/noun id lists")
@@ -179,8 +164,7 @@ def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int,
     return sequences, Z, payload["taxonomy_sha256"]
 
 
-def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy, *,
-             allow_transpositions: bool = True) -> EvalReport:
+def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> EvalReport:
     """Score a prediction file against a ground-truth file.
 
     Fails loudly on any inconsistency (missing example, Z mismatch, taxonomy
@@ -216,7 +200,7 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy, *,
             raise ValidationError(f"verb id out of range in prediction for {gt.example_id!r}")
         if pred.noun_seqs.min() < 0 or pred.noun_seqs.max() >= n_nouns:
             raise ValidationError(f"noun id out of range in prediction for {gt.example_id!r}")
-        v, n = ed_at_zk(pred, gt, allow_transpositions=allow_transpositions)
+        v, n = ed_at_zk(pred, gt)
         per_example.append((gt.example_id, v, n))
 
     n_examples = len(per_example)

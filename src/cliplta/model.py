@@ -7,7 +7,8 @@ input-clip tokens (clip order matters here, unlike frame order inside a
 clip), and a decoder block of Z learned step queries cross-attends to the
 encoder output. Two linear heads emit per-step verb and noun logits.
 
-Variants select what goes into the token:
+Variants select what goes into the token. ``VARIANTS`` is their one
+definition: every site that depends on the variant reads it there.
 
 * ``baseline``            - video descriptor only
 * ``clip_img_only``       - mean-pooled frame embeddings only
@@ -25,21 +26,40 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
-from .aggregate import (
-    CrossAttentionParams,
-    cross_attention_backward,
-    cross_attention_forward,
-    init_cross_attention,
-)
+from .aggregate import cross_attention_backward, cross_attention_forward, init_cross_attention
 from .errors import ValidationError, read_json_object
 from .featurestore import stub_embed
-from .taxonomy import GroundTruthSequence
 
-VARIANTS = ("baseline", "clip_img_only", "img_plus_clip", "img_plus_clip_text", "clip_attention")
+
+class Variant(NamedTuple):
+    uses_video: bool
+    clip_source: str    # "none", "mean", "text" or "attention"
+
+
+# the ablation: the one definition of each variant
+VARIANTS = {
+    "baseline": Variant(uses_video=True, clip_source="none"),
+    "clip_img_only": Variant(uses_video=False, clip_source="mean"),
+    "img_plus_clip": Variant(uses_video=True, clip_source="mean"),
+    "img_plus_clip_text": Variant(uses_video=True, clip_source="text"),
+    "clip_attention": Variant(uses_video=True, clip_source="attention"),
+}
+
+# width of the clip descriptor from each source, in multiples of c
+CLIP_WIDTH = {"none": 0, "mean": 1, "text": 5, "attention": 1}
+
+
+def variant_spec(name: str) -> Variant:
+    """The table row of variant ``name``; an unknown name is a validation error."""
+    if name not in VARIANTS:
+        raise ValidationError(f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}")
+    return VARIANTS[name]
+
 
 DEFAULT_ATTENTION_PROMPT = "a video of a person performing an action"
 
@@ -65,8 +85,7 @@ class LtaModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        variant_spec(self.variant)
         for name in ("n_verbs", "n_nouns", "c", "d_video", "n_input_clips", "Z", "n_layers", "n_heads_agg"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"config field {name} must be >= 1")
@@ -74,23 +93,23 @@ class LtaModelConfig:
             raise ValidationError(
                 f"d_model={self.d_model} (variant {self.variant!r}) not divisible by n_heads_agg={self.n_heads_agg}"
             )
-        if self.variant == "clip_attention" and self.attn_width % self.n_heads_ca != 0:
+        if self.clip_source == "attention" and self.attn_width % self.n_heads_ca != 0:
             raise ValidationError(
                 f"d_attn={self.attn_width} not divisible by n_heads_ca={self.n_heads_ca}"
             )
 
     @property
     def uses_video(self) -> bool:
-        return self.variant != "clip_img_only"
+        return VARIANTS[self.variant].uses_video
+
+    @property
+    def clip_source(self) -> str:
+        return VARIANTS[self.variant].clip_source
 
     @property
     def d_clip(self) -> int:
         """Width of the frame-aggregation descriptor entering the fused token."""
-        if self.variant == "baseline":
-            return 0
-        if self.variant == "img_plus_clip_text":
-            return 5 * self.c
-        return self.c
+        return CLIP_WIDTH[self.clip_source] * self.c
 
     @property
     def d_model(self) -> int:
@@ -103,50 +122,6 @@ class LtaModelConfig:
     @property
     def attn_width(self) -> int:
         return self.d_attn if self.d_attn > 0 else self.c
-
-
-@dataclass(frozen=True)
-class FusedClipToken:
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector)
-        if vector.ndim != 1 or vector.shape[0] < 1:
-            raise ValidationError(f"fused token must be a non-empty vector, got shape {vector.shape}")
-        if not np.all(np.isfinite(vector)):
-            raise ValidationError("fused token contains non-finite values")
-        object.__setattr__(self, "vector", vector)
-
-    @property
-    def width(self) -> int:
-        return self.vector.shape[0]
-
-
-def fuse(video, clip_desc, config: LtaModelConfig) -> FusedClipToken:
-    """Concatenate [video ‖ clip descriptor] per the active variant.
-
-    ``video`` is ignored for clip_img_only (pass None) and ``clip_desc`` for
-    baseline; widths are checked against the config.
-    """
-    parts = []
-    if config.uses_video:
-        if video is None:
-            raise ValidationError(f"variant {config.variant!r} requires a video descriptor")
-        vec = video.vector if hasattr(video, "vector") else np.asarray(video)
-        if vec.shape[0] != config.d_video:
-            raise ValidationError(f"video width {vec.shape[0]} does not match d_video={config.d_video}")
-        parts.append(vec)
-    if config.d_clip > 0:
-        if clip_desc is None:
-            raise ValidationError(f"variant {config.variant!r} requires a clip descriptor")
-        vec = clip_desc.vector if hasattr(clip_desc, "vector") else np.asarray(clip_desc)
-        if vec.shape[0] != config.d_clip:
-            raise ValidationError(
-                f"clip descriptor width {vec.shape[0]} does not match d_clip={config.d_clip} "
-                f"for variant {config.variant!r}"
-            )
-        parts.append(vec)
-    return FusedClipToken(vector=np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -195,107 +170,60 @@ class PredictionSet:
         return self.verb_seqs.shape[1]
 
 
-class LtaModel:
+class LtaModel(nn.Module):
     """Aggregator + decoder with hand-written backward passes.
 
-    Parameters live in flat name -> array dicts (see ``named_parameters``)
-    and are updated in place by the training loop. Construction is fully
-    determined by (config, dtype): initialization draws come from one seeded
-    generator in a fixed order.
+    Parameters live in the :class:`nn.Module` registry (see
+    ``named_parameters``) and are updated in place by the training loop.
+    Construction is fully determined by (config, dtype): initialization
+    draws come from one seeded generator in a fixed order.
     """
 
     def __init__(self, config: LtaModelConfig, dtype=np.float32):
+        super().__init__()
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(config.seed)
         D = config.d_model
 
-        self.ca_params: CrossAttentionParams | None = None
-        self.query: np.ndarray | None = None
-        if config.variant == "clip_attention":
-            self.ca_params = init_cross_attention(rng, config.c, config.attn_width, config.n_heads_ca, dtype)
+        self.aggregator = None
+        if config.clip_source == "attention":
+            self.aggregator = self.child("aggregator", init_cross_attention(
+                rng, config.c, config.attn_width, config.n_heads_ca, dtype))
             if config.learned_query:
                 bound = 1.0 / np.sqrt(config.c)
-                self.query = rng.uniform(-bound, bound, config.c).astype(dtype)
+                query = rng.uniform(-bound, bound, config.c).astype(dtype)
             else:
                 # prompt embedded by the same stub text encoder the harness
                 # uses for label tables; a real deployment overwrites this
                 # buffer from the checkpoint produced by the adapter
-                self.query = stub_embed(config.text_seed, config.attention_prompt, config.c).astype(dtype)
-            self._ca_grads = {k: np.zeros_like(v) for k, v in self.ca_params.named_arrays().items()}
-            self._d_query = np.zeros_like(self.query)
+                query = stub_embed(config.text_seed, config.attention_prompt, config.c).astype(dtype)
+            self.aggregator.param("query", query)
 
         bound = 1.0 / np.sqrt(D)
-        self.pos_embed = rng.uniform(-bound, bound, (config.n_input_clips, D)).astype(dtype)
-        self._d_pos_embed = np.zeros_like(self.pos_embed)
+        self.pos_embed, self._d_pos_embed = self.param(
+            "pos_embed", rng.uniform(-bound, bound, (config.n_input_clips, D)).astype(dtype))
 
         self.encoder = [
-            nn.TransformerEncoderLayer(rng, D, config.n_heads_agg, config.ffn_width, dtype)
-            for _ in range(config.n_layers)
+            self.child(f"encoder.{i}",
+                       nn.TransformerEncoderLayer(rng, D, config.n_heads_agg, config.ffn_width, dtype))
+            for i in range(config.n_layers)
         ]
 
-        self.step_queries = rng.uniform(-bound, bound, (config.Z, D)).astype(dtype)
-        self._d_step_queries = np.zeros_like(self.step_queries)
-        self.dec_attn = nn.MultiHeadAttention(rng, D, config.n_heads_agg, dtype)
-        self.dec_ln1 = nn.LayerNorm(D, dtype)
-        self.dec_ffn = nn.FeedForward(rng, D, config.ffn_width, dtype)
-        self.dec_ln2 = nn.LayerNorm(D, dtype)
-        self.verb_head = nn.Linear(rng, D, config.n_verbs, dtype)
-        self.noun_head = nn.Linear(rng, D, config.n_nouns, dtype)
-
-    # -- parameter registry ---------------------------------------------
-
-    def _modules(self):
-        mods = [(f"encoder.{i}", layer) for i, layer in enumerate(self.encoder)]
-        mods += [
-            ("decoder.attn", self.dec_attn),
-            ("decoder.ln1", self.dec_ln1),
-            ("decoder.ffn", self.dec_ffn),
-            ("decoder.ln2", self.dec_ln2),
-            ("verb_head", self.verb_head),
-            ("noun_head", self.noun_head),
-        ]
-        return mods
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
-        if self.ca_params is not None:
-            for k, v in self.ca_params.named_arrays().items():
-                params[f"aggregator.{k}"] = v
-            params["aggregator.query"] = self.query
-        params["pos_embed"] = self.pos_embed
-        params["step_queries"] = self.step_queries
-        for prefix, mod in self._modules():
-            params.update(dict(mod.named_parameters(prefix)))
-        return params
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        grads: dict[str, np.ndarray] = {}
-        if self.ca_params is not None:
-            for k, v in self._ca_grads.items():
-                grads[f"aggregator.{k}"] = v
-            grads["aggregator.query"] = self._d_query
-        grads["pos_embed"] = self._d_pos_embed
-        grads["step_queries"] = self._d_step_queries
-        for prefix, mod in self._modules():
-            grads.update(dict(mod.named_grads(prefix)))
-        return grads
+        self.step_queries, self._d_step_queries = self.param(
+            "step_queries", rng.uniform(-bound, bound, (config.Z, D)).astype(dtype))
+        self.dec_attn = self.child("decoder.attn", nn.MultiHeadAttention(rng, D, config.n_heads_agg, dtype))
+        self.dec_ln1 = self.child("decoder.ln1", nn.LayerNorm(D, dtype))
+        self.dec_ffn = self.child("decoder.ffn", nn.FeedForward(rng, D, config.ffn_width, dtype))
+        self.dec_ln2 = self.child("decoder.ln2", nn.LayerNorm(D, dtype))
+        self.verb_head = self.child("verb_head", nn.Linear(rng, D, config.n_verbs, dtype))
+        self.noun_head = self.child("noun_head", nn.Linear(rng, D, config.n_nouns, dtype))
 
     def trainable_names(self) -> list[str]:
         names = list(self.named_parameters())
-        if self.ca_params is not None and not self.config.learned_query:
+        if self.aggregator is not None and not self.config.learned_query:
             names.remove("aggregator.query")
         return names
-
-    def zero_grad(self):
-        if self.ca_params is not None:
-            for g in self._ca_grads.values():
-                g[...] = 0
-            self._d_query[...] = 0
-        self._d_pos_embed[...] = 0
-        self._d_step_queries[...] = 0
-        for _, mod in self._modules():
-            mod.zero_grad()
 
     # -- forward / backward ----------------------------------------------
 
@@ -314,12 +242,13 @@ class LtaModel:
             if video.ndim != 3 or video.shape[2] != cfg.d_video:
                 raise ValidationError(f"video batch must be (B, T, {cfg.d_video}), got {video.shape}")
             parts.append(video)
-        if cfg.variant == "clip_attention":
+        if cfg.clip_source == "attention":
             frames = np.asarray(batch["frames"], dtype=self.dtype)
             if frames.ndim != 4 or frames.shape[3] != cfg.c:
                 raise ValidationError(f"frames batch must be (B, T, N, {cfg.c}), got {frames.shape}")
             B, T, N, c = frames.shape
-            out, ca_cache = cross_attention_forward(self.ca_params, self.query, frames.reshape(B * T, N, c))
+            agg = self.aggregator
+            out, ca_cache = cross_attention_forward(agg, agg.params["query"], frames.reshape(B * T, N, c))
             parts.append(out.reshape(B, T, c))
         elif cfg.d_clip > 0:
             desc = np.asarray(batch["clip_desc"], dtype=self.dtype)
@@ -387,34 +316,11 @@ class LtaModel:
         if ca_cache is not None:
             B, T, _ = token_shape
             d_clip = d_tokens[..., -self.config.c:].reshape(B * T, self.config.c)
-            grads, d_query, _ = cross_attention_backward(self.ca_params, ca_cache, d_clip)
+            grads, d_query, _ = cross_attention_backward(self.aggregator, ca_cache, d_clip)
+            agg_grads = self.aggregator.grads
             for k, g in grads.items():
-                self._ca_grads[k] += g
-            self._d_query += d_query
-
-    def forward(self, tokens) -> StepLogits:
-        """Single-example decode from a list of fused clip tokens."""
-        vecs = [t.vector if isinstance(t, FusedClipToken) else np.asarray(t) for t in tokens]
-        if len(vecs) != self.config.n_input_clips:
-            raise ValidationError(
-                f"expected {self.config.n_input_clips} tokens, got {len(vecs)}"
-            )
-        arr = np.stack(vecs).astype(self.dtype)[None]
-        verb_logits, noun_logits, _ = self.forward_tokens(arr)
-        return StepLogits(verb_logits=verb_logits[0], noun_logits=noun_logits[0])
-
-
-def anticipation_loss(logits: StepLogits, gt: GroundTruthSequence) -> float:
-    """Mean over steps of verb cross-entropy plus noun cross-entropy."""
-    if len(gt.actions) != logits.Z:
-        raise ValidationError(
-            f"ground truth length {len(gt.actions)} does not match horizon Z={logits.Z}"
-        )
-    nll_v, _ = nn.cross_entropy_with_logits(np.asarray(logits.verb_logits, dtype=np.float64),
-                                            np.array(gt.verb_ids))
-    nll_n, _ = nn.cross_entropy_with_logits(np.asarray(logits.noun_logits, dtype=np.float64),
-                                            np.array(gt.noun_ids))
-    return float((nll_v + nll_n).mean())
+                agg_grads[k] += g
+            agg_grads["query"] += d_query
 
 
 def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,
@@ -495,8 +401,12 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
     config_path = ckpt_dir / CONFIG_FILE
     if not config_path.is_file():
         raise ValidationError(f"no checkpoint at {ckpt_dir} (missing {CONFIG_FILE})")
-    config = LtaModelConfig(**read_json_object(config_path, "checkpoint config"))
-    manifest = read_json_object(ckpt_dir / PARAMS_MANIFEST, "checkpoint manifest")
+    try:
+        config = LtaModelConfig(**read_json_object(config_path, "checkpoint config"))
+    except TypeError as e:
+        raise ValidationError(f"checkpoint config {config_path}: {e}") from e
+    manifest_path = ckpt_dir / PARAMS_MANIFEST
+    manifest = read_json_object(manifest_path, "checkpoint manifest")
     model = LtaModel(config, dtype=dtype)
     params = model.named_parameters()
     if set(manifest) != set(params):
@@ -504,6 +414,12 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
         extra = set(manifest) - set(params)
         raise ValidationError(f"checkpoint parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, entry in manifest.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+                and isinstance(entry.get("file"), str)):
+            raise ValidationError(
+                f"checkpoint manifest {manifest_path}: entry {name!r} must be an object "
+                "with a list 'shape' and a string 'file'"
+            )
         target = params[name]
         if list(target.shape) != entry["shape"]:
             raise ValidationError(f"parameter {name} shape {entry['shape']} does not match {list(target.shape)}")

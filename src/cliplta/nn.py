@@ -6,9 +6,14 @@ the input and accumulates parameter gradients in place. Training is
 single-writer, so gradient accumulation needs no locking; call
 ``zero_grad()`` between steps.
 
-Parameters are exposed through ``named_parameters()`` /
-``named_grads()`` as flat dotted-name dicts. Updates mutate the arrays in
-place so the name -> array references stay valid.
+Every layer, the cross-attention aggregator and the model itself derive
+from :class:`Module`, which holds the one parameter registry. A module
+registers, in its ``__init__``, each parameter array with ``param`` (which
+creates the gradient array alongside it) and each submodule with ``child``.
+``named_parameters()`` / ``named_grads()`` walk that registry into flat
+dotted-name dicts (``encoder.0.attn.q_proj.W``), and ``zero_grad()`` zeroes
+every gradient. Updates mutate the arrays in place so the name -> array
+references stay valid.
 """
 
 from __future__ import annotations
@@ -32,13 +37,50 @@ def softmax_backward(weights: np.ndarray, d_weights: np.ndarray) -> np.ndarray:
     return weights * (d_weights - inner)
 
 
-class Linear:
+class Module:
+    """Registry of a module's parameters, their gradients and its named children."""
+
+    def __init__(self):
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
+        self.children: dict[str, Module] = {}
+
+    def param(self, name: str, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Register ``value`` as parameter ``name``; returns it and its zeroed gradient."""
+        self.params[name] = value
+        self.grads[name] = grad = np.zeros_like(value)
+        return value, grad
+
+    def child(self, name: str, module: Module) -> Module:
+        """Register ``module``; its names appear under ``<name>.``."""
+        self.children[name] = module
+        return module
+
+    def _walk(self, prefix: str = ""):
+        for name, value in self.params.items():
+            yield prefix + name, value, self.grads[name]
+        for name, module in self.children.items():
+            yield from module._walk(f"{prefix}{name}.")
+
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        return {name: value for name, value, _ in self._walk()}
+
+    def named_grads(self) -> dict[str, np.ndarray]:
+        return {name: grad for name, _, grad in self._walk()}
+
+    def zero_grad(self) -> None:
+        for grad in self.grads.values():
+            grad[...] = 0
+        for module in self.children.values():
+            module.zero_grad()
+
+
+class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, dtype=np.float32):
+        super().__init__()
         bound = 1.0 / np.sqrt(d_in)
-        self.W = rng.uniform(-bound, bound, (d_in, d_out)).astype(dtype)
-        self.b = np.zeros(d_out, dtype=dtype)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        self.W, self.dW = self.param("W", rng.uniform(-bound, bound, (d_in, d_out)).astype(dtype))
+        self.b, self.db = self.param("b", np.zeros(d_out, dtype=dtype))
 
     # Leading axes are flattened so every product is one 2-D GEMM; a 3-D
     # matmul would run one small GEMM per leading index.
@@ -56,26 +98,13 @@ class Linear:
         self.db += g.sum(axis=0)
         return (g @ self.W.T).reshape(x.shape)
 
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.W", self.W
-        yield f"{prefix}.b", self.b
 
-    def named_grads(self, prefix: str):
-        yield f"{prefix}.W", self.dW
-        yield f"{prefix}.b", self.db
-
-    def zero_grad(self):
-        self.dW[...] = 0
-        self.db[...] = 0
-
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, dtype=np.float32, eps: float = 1e-5):
-        self.gamma = np.ones(d, dtype=dtype)
-        self.beta = np.zeros(d, dtype=dtype)
+        super().__init__()
+        self.gamma, self.dgamma = self.param("gamma", np.ones(d, dtype=dtype))
+        self.beta, self.dbeta = self.param("beta", np.zeros(d, dtype=dtype))
         self.eps = eps
-        self.dgamma = np.zeros_like(self.gamma)
-        self.dbeta = np.zeros_like(self.beta)
 
     def forward(self, x: np.ndarray):
         mu = x.mean(axis=-1, keepdims=True)
@@ -98,31 +127,20 @@ class LayerNorm:
             - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
         )
 
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
-    def named_grads(self, prefix: str):
-        yield f"{prefix}.gamma", self.dgamma
-        yield f"{prefix}.beta", self.dbeta
-
-    def zero_grad(self):
-        self.dgamma[...] = 0
-        self.dbeta[...] = 0
-
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Batched multi-head attention; query and key/value inputs may differ."""
 
     def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, dtype=np.float32):
+        super().__init__()
         if d_model % n_heads != 0:
             raise ValidationError(f"d_model={d_model} must be divisible by n_heads={n_heads}")
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        self.q_proj = Linear(rng, d_model, d_model, dtype)
-        self.k_proj = Linear(rng, d_model, d_model, dtype)
-        self.v_proj = Linear(rng, d_model, d_model, dtype)
-        self.o_proj = Linear(rng, d_model, d_model, dtype)
+        self.q_proj = self.child("q_proj", Linear(rng, d_model, d_model, dtype))
+        self.k_proj = self.child("k_proj", Linear(rng, d_model, d_model, dtype))
+        self.v_proj = self.child("v_proj", Linear(rng, d_model, d_model, dtype))
+        self.o_proj = self.child("o_proj", Linear(rng, d_model, d_model, dtype))
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         B, T, _ = x.shape
@@ -158,27 +176,12 @@ class MultiHeadAttention:
         d_kv_in = d_kv_in + self.v_proj.backward(cv, self._merge(dVh))
         return d_q_in, d_kv_in
 
-    def _children(self):
-        return [("q_proj", self.q_proj), ("k_proj", self.k_proj),
-                ("v_proj", self.v_proj), ("o_proj", self.o_proj)]
 
-    def named_parameters(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_parameters(f"{prefix}.{name}")
-
-    def named_grads(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_grads(f"{prefix}.{name}")
-
-    def zero_grad(self):
-        for _, child in self._children():
-            child.zero_grad()
-
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, rng: np.random.Generator, d_model: int, d_ff: int, dtype=np.float32):
-        self.lin1 = Linear(rng, d_model, d_ff, dtype)
-        self.lin2 = Linear(rng, d_ff, d_model, dtype)
+        super().__init__()
+        self.lin1 = self.child("lin1", Linear(rng, d_model, d_ff, dtype))
+        self.lin2 = self.child("lin2", Linear(rng, d_ff, d_model, dtype))
 
     def forward(self, x: np.ndarray):
         h, c1 = self.lin1.forward(x)
@@ -192,30 +195,16 @@ class FeedForward:
         dh = da * (h > 0)
         return self.lin1.backward(c1, dh)
 
-    def _children(self):
-        return [("lin1", self.lin1), ("lin2", self.lin2)]
 
-    def named_parameters(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_parameters(f"{prefix}.{name}")
-
-    def named_grads(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_grads(f"{prefix}.{name}")
-
-    def zero_grad(self):
-        for _, child in self._children():
-            child.zero_grad()
-
-
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Post-norm encoder block: self-attention then feed-forward, residual each."""
 
     def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, d_ff: int, dtype=np.float32):
-        self.attn = MultiHeadAttention(rng, d_model, n_heads, dtype)
-        self.ln1 = LayerNorm(d_model, dtype)
-        self.ffn = FeedForward(rng, d_model, d_ff, dtype)
-        self.ln2 = LayerNorm(d_model, dtype)
+        super().__init__()
+        self.attn = self.child("attn", MultiHeadAttention(rng, d_model, n_heads, dtype))
+        self.ln1 = self.child("ln1", LayerNorm(d_model, dtype))
+        self.ffn = self.child("ffn", FeedForward(rng, d_model, d_ff, dtype))
+        self.ln2 = self.child("ln2", LayerNorm(d_model, dtype))
 
     def forward(self, x: np.ndarray):
         a, ca = self.attn.forward(x, x)
@@ -231,21 +220,6 @@ class TransformerEncoderLayer:
         dh1 = self.ln1.backward(c1, dy1)
         dq, dkv = self.attn.backward(ca, dh1)
         return dh1 + dq + dkv
-
-    def _children(self):
-        return [("attn", self.attn), ("ln1", self.ln1), ("ffn", self.ffn), ("ln2", self.ln2)]
-
-    def named_parameters(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_parameters(f"{prefix}.{name}")
-
-    def named_grads(self, prefix: str):
-        for name, child in self._children():
-            yield from child.named_grads(f"{prefix}.{name}")
-
-    def zero_grad(self):
-        for _, child in self._children():
-            child.zero_grad()
 
 
 def cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError, read_json_object
@@ -45,16 +45,12 @@ class Taxonomy:
     nouns: tuple[str, ...]
     scenarios: tuple[str, ...]
     places: tuple[str, ...]
-    _verb_ids: dict = field(init=False, repr=False, compare=False)
-    _noun_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "verbs", _check_vocab("verbs", list(self.verbs)))
         object.__setattr__(self, "nouns", _check_vocab("nouns", list(self.nouns)))
         object.__setattr__(self, "scenarios", _check_vocab("scenarios", list(self.scenarios)))
         object.__setattr__(self, "places", _check_vocab("places", list(self.places)))
-        object.__setattr__(self, "_verb_ids", {v: i for i, v in enumerate(self.verbs)})
-        object.__setattr__(self, "_noun_ids", {n: i for i, n in enumerate(self.nouns)})
 
     def vocab(self, category: str) -> tuple[str, ...]:
         """Entries for one of 'verb', 'noun', 'scenario', 'place'."""
@@ -137,22 +133,3 @@ def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
             ensure_ascii=False,
         )
         f.write("\n")
-
-
-def encode_action(taxonomy: Taxonomy, verb: str, noun: str) -> ActionLabel:
-    """Map (verb, noun) strings to ids; unknown tokens raise."""
-    verb_id = taxonomy._verb_ids.get(verb)
-    if verb_id is None:
-        raise ValidationError(f"unknown verb {verb!r}")
-    noun_id = taxonomy._noun_ids.get(noun)
-    if noun_id is None:
-        raise ValidationError(f"unknown noun {noun!r}")
-    return ActionLabel(verb_id=verb_id, noun_id=noun_id)
-
-
-def decode_action(taxonomy: Taxonomy, label: ActionLabel) -> tuple[str, str]:
-    if not 0 <= label.verb_id < len(taxonomy.verbs):
-        raise ValidationError(f"verb id {label.verb_id} out of range")
-    if not 0 <= label.noun_id < len(taxonomy.nouns):
-        raise ValidationError(f"noun id {label.noun_id} out of range")
-    return taxonomy.verbs[label.verb_id], taxonomy.nouns[label.noun_id]

@@ -162,3 +162,41 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(gt) in err
+
+
+def _set_first_example(payload, value):
+    payload["examples"][min(payload["examples"])] = value
+
+
+# case -> (file under the workspace, edit to its JSON, text its error message must hold)
+MALFORMED_FIELDS = {
+    "config_extra_key": ("run/checkpoint/config.json", lambda p: p.update(extra=1), "extra"),
+    "config_missing_key": ("run/checkpoint/config.json", lambda p: p.pop("n_verbs"), "n_verbs"),
+    "manifest_entry_without_file": ("run/checkpoint/params.json",
+                                    lambda p: p["pos_embed"].pop("file"), "'file'"),
+    "gt_examples_not_object": ("data/gt_val.json", lambda p: p.update(examples=[1]), "'examples'"),
+    "gt_entry_not_object": ("data/gt_val.json", lambda p: _set_first_example(p, 1), "val_00000"),
+    "gt_no_examples": ("data/gt_val.json", lambda p: p.update(examples={}), "'examples'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+def test_malformed_field_is_2_and_named(workspace, tmp_path, capsys, case):
+    import shutil
+
+    rel, change, field = MALFORMED_FIELDS[case]
+    ckpt = shutil.copytree(workspace / "run" / "checkpoint", tmp_path / "run" / "checkpoint")
+    (tmp_path / "data").mkdir()
+    gt = shutil.copy(workspace / "data" / "gt_val.json", tmp_path / "data" / "gt_val.json")
+    target = tmp_path / rel
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    change(payload)
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    assert main([
+        "eval", "--checkpoint", str(ckpt), "--store", str(workspace / "data" / "store"),
+        "--gt", str(gt), "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+        "--out-dir", str(tmp_path / "e"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and field in err, err
+    assert "runtime error" not in err

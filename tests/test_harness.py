@@ -15,7 +15,7 @@ from cliplta import (
     train,
 )
 from cliplta import harness
-from cliplta.harness import _predict_dataset, infer_clips_per_example, load_dataset
+from cliplta.harness import _predict_dataset, load_split
 from cliplta.metrics import read_ground_truth, write_ground_truth
 from cliplta.model import VARIANTS, read_predictions
 from cliplta.taxonomy import ActionLabel, GroundTruthSequence, load_taxonomy
@@ -88,6 +88,26 @@ class TestTrain:
                              K=2, seed=0, out_dir=tmp_path / f"{variant}_eval")
         assert 0.0 <= report.verb_ed <= 1.0
 
+    @pytest.mark.parametrize("variant, tables_built", [("img_plus_clip_text", 1), ("img_plus_clip", 0)])
+    def test_label_tables_built_once_and_only_for_text(self, synth, tmp_path, monkeypatch,
+                                                        variant, tables_built):
+        calls = []
+        real = harness.build_text_table
+        monkeypatch.setattr(harness, "build_text_table", lambda *a: calls.append(a[1]) or real(*a))
+        ckpt, _ = train(train_config(synth, tmp_path / "r", variant=variant, epochs=1,
+                                     val_gt=str(synth.gt_val_path), eval_every=1))
+        assert len(calls) == 4 * tables_built  # one table per category
+        run_eval(ckpt, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=2,
+                 out_dir=tmp_path / "e")
+        assert len(calls) == 8 * tables_built
+
+    def test_val_split_with_other_horizon_rejected(self, synth, tmp_path):
+        gt_list, _, gt_hash = read_ground_truth(synth.gt_val_path)
+        short = [GroundTruthSequence(g.example_id, g.actions[:2]) for g in gt_list]
+        write_ground_truth(tmp_path / "gt_short.json", short, 2, gt_hash)
+        with pytest.raises(ValidationError, match="horizon Z=2"):
+            train(train_config(synth, tmp_path / "r", val_gt=str(tmp_path / "gt_short.json")))
+
     def test_runlog_enforces_ordering_and_finiteness(self):
         from cliplta import RunLog
 
@@ -111,17 +131,16 @@ class TestTrain:
         steps = []
         real_step = harness._sgd_momentum_step
 
-        def spy(params, grads, velocity, lr, momentum):
+        def spy(slots, lr, momentum):
             assert type(lr) is float  # an np.float64 lr would upcast the update
-            assert all(g.dtype == np.float32 for g in grads.values())
-            real_step(params, grads, velocity, lr, momentum)
-            steps.append(velocity)
+            assert all(g.dtype == np.float32 for _, g, _ in slots)
+            real_step(slots, lr, momentum)
+            steps.append(slots)
 
         monkeypatch.setattr(harness, "_sgd_momentum_step", spy)
         train(train_config(synth, tmp_path / "r", variant=variant, epochs=1, n_heads_ca=2))
         assert len(steps) == 6  # 24 examples in batches of 4
-        for name, v in steps[-1].items():
-            assert v.dtype == np.float32, name
+        assert all(p.dtype == v.dtype == np.float32 for p, _, v in steps[-1])
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +166,8 @@ class TestRunEval:
         model = load_checkpoint(trained)
         taxonomy = load_taxonomy(synth.taxonomy_path)
         store = FeatureStore.open(synth.store_path)
-        gt_list, Z, _ = read_ground_truth(synth.gt_val_path)
-        dataset = load_dataset(store, gt_list, infer_clips_per_example(store, gt_list[0].example_id))
-        from cliplta.harness import precompute_descriptors
-        precompute_descriptors(dataset, model.config, None)
+        dataset, _ = load_split(store, synth.gt_val_path, taxonomy, model.config.variant, None)
+        Z = model.config.Z
         preds = _predict_dataset(model, dataset, K=1, temperature=1.0, seed=0)
         argmax_gt = [
             GroundTruthSequence(p.example_id, tuple(

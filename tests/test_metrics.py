@@ -37,10 +37,6 @@ class TestEditDistance:
         # the swapped pair may be edited into afterwards: CA -> AC -> ABC
         assert edit_distance([2, 0], [0, 1, 2]) == 2
 
-    def test_plain_levenshtein_option(self):
-        assert edit_distance([1, 2], [2, 1], allow_transpositions=False) == 2
-        assert edit_distance([1, 2], [2, 1], allow_transpositions=True) == 1
-
     def test_matches_brute_force_on_random_pairs(self, rng):
         for _ in range(150):
             sigma = int(rng.integers(2, 6))

@@ -1,24 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cliplta import (
-    ClipDescriptor,
-    GroundTruthSequence,
     LtaModel,
     LtaModelConfig,
     StepLogits,
     ValidationError,
-    VideoDescriptor,
-    anticipation_loss,
-    fuse,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
 )
 from cliplta.model import VARIANTS, batch_loss_and_grads
-from cliplta.taxonomy import ActionLabel
 from helpers import finite_difference, max_rel_err
 
 
@@ -34,7 +29,7 @@ def make_batch(cfg, rng, B=2, N=3):
     batch = {}
     if cfg.uses_video:
         batch["video"] = rng.standard_normal((B, cfg.n_input_clips, cfg.d_video))
-    if cfg.variant == "clip_attention":
+    if cfg.clip_source == "attention":
         batch["frames"] = rng.standard_normal((B, cfg.n_input_clips, N, cfg.c))
     elif cfg.d_clip > 0:
         batch["clip_desc"] = rng.standard_normal((B, cfg.n_input_clips, cfg.d_clip))
@@ -59,28 +54,39 @@ class TestConfig:
 
 
 class TestFuse:
+    """featurize_batch builds each clip token as [video ‖ clip descriptor]."""
+
     def test_concatenation(self):
         cfg = tiny_config("img_plus_clip", c=1, d_video=2, n_heads_agg=1)
-        token = fuse(VideoDescriptor(clip_id="a", vector=np.array([1.0, 2.0])),
-                     ClipDescriptor(vector=np.array([3.0])), cfg)
-        np.testing.assert_array_equal(token.vector, [1.0, 2.0, 3.0])
+        model = LtaModel(cfg, dtype=np.float64)
+        tokens, _ = model.featurize_batch({"video": np.array([[[1.0, 2.0], [4.0, 5.0]]]),
+                                           "clip_desc": np.array([[[3.0], [6.0]]])})
+        np.testing.assert_array_equal(tokens, [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
 
     def test_zero_descriptor_tail(self, rng):
         cfg = tiny_config("img_plus_clip")
-        video = rng.standard_normal(cfg.d_video)
-        token = fuse(video, np.zeros(cfg.c), cfg)
-        np.testing.assert_array_equal(token.vector[:cfg.d_video], video)
-        np.testing.assert_array_equal(token.vector[cfg.d_video:], 0.0)
+        model = LtaModel(cfg, dtype=np.float64)
+        video = rng.standard_normal((2, cfg.n_input_clips, cfg.d_video))
+        tokens, _ = model.featurize_batch({"video": video,
+                                           "clip_desc": np.zeros((2, cfg.n_input_clips, cfg.c))})
+        np.testing.assert_array_equal(tokens[..., :cfg.d_video], video)
+        np.testing.assert_array_equal(tokens[..., cfg.d_video:], 0.0)
 
     def test_wrong_clip_width_rejected(self, rng):
         cfg = tiny_config("img_plus_clip")
-        with pytest.raises(ValidationError, match="width"):
-            fuse(rng.standard_normal(cfg.d_video), rng.standard_normal(5 * cfg.c), cfg)
+        model = LtaModel(cfg, dtype=np.float64)
+        batch = {"video": rng.standard_normal((1, cfg.n_input_clips, cfg.d_video)),
+                 "clip_desc": rng.standard_normal((1, cfg.n_input_clips, 5 * cfg.c))}
+        with pytest.raises(ValidationError, match="clip_desc"):
+            model.featurize_batch(batch)
 
     def test_baseline_ignores_clip(self, rng):
         cfg = tiny_config("baseline")
-        video = rng.standard_normal(cfg.d_video)
-        assert fuse(video, None, cfg).width == cfg.d_video
+        model = LtaModel(cfg, dtype=np.float64)
+        video = rng.standard_normal((1, cfg.n_input_clips, cfg.d_video))
+        tokens, _ = model.featurize_batch({"video": video,
+                                           "clip_desc": rng.standard_normal((1, cfg.n_input_clips, cfg.c))})
+        np.testing.assert_array_equal(tokens, video)
 
 
 class TestForward:
@@ -109,20 +115,12 @@ class TestForward:
         v2, _, _ = model.forward_tokens(tokens[:, ::-1])
         assert not np.allclose(v1, v2)
 
-    def test_single_example_api(self, rng):
-        cfg = tiny_config()
-        model = LtaModel(cfg, dtype=np.float64)
-        tokens = [rng.standard_normal(cfg.d_model) for _ in range(2)]
-        logits = model.forward(tokens)
-        assert logits.verb_logits.shape == (cfg.Z, cfg.n_verbs)
-        batch_v, _, _ = model.forward_tokens(np.stack(tokens)[None])
-        np.testing.assert_array_equal(logits.verb_logits, batch_v[0])
-
     def test_wrong_token_count(self, rng):
         cfg = tiny_config()
         model = LtaModel(cfg, dtype=np.float64)
-        with pytest.raises(ValidationError, match="tokens"):
-            model.forward([rng.standard_normal(cfg.d_model)])
+        batch = make_batch(tiny_config(n_input_clips=1), rng)
+        with pytest.raises(ValidationError, match="input clips"):
+            model.forward_batch(batch)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_gradients_every_variant(self, variant, rng):
@@ -195,54 +193,45 @@ class TestFloat32:
 
 
 class TestLoss:
+    """batch_loss_and_grads: mean over (B, Z) of verb plus noun cross-entropy."""
+
     def test_uniform_logits_give_log_c(self):
-        logits = StepLogits(verb_logits=np.zeros((2, 4)), noun_logits=np.zeros((2, 4)))
-        gt = GroundTruthSequence("e", (ActionLabel(1, 2), ActionLabel(0, 3)))
-        assert anticipation_loss(logits, gt) == pytest.approx(math.log(4) + math.log(4), abs=1e-12)
+        loss, _, _ = batch_loss_and_grads(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)),
+                                          np.array([[1, 0], [3, 2]]), np.array([[2, 3], [0, 1]]))
+        assert loss == pytest.approx(math.log(4) + math.log(4), abs=1e-12)
 
     def test_saturated_logits_give_zero(self):
-        verb = np.zeros((2, 4))
-        noun = np.zeros((2, 4))
-        verb[0, 1] = verb[1, 0] = 30.0
-        noun[0, 2] = noun[1, 3] = 30.0
-        logits = StepLogits(verb_logits=verb, noun_logits=noun)
-        gt = GroundTruthSequence("e", (ActionLabel(1, 2), ActionLabel(0, 3)))
-        assert anticipation_loss(logits, gt) < 1e-9
+        verb = np.zeros((1, 2, 4))
+        noun = np.zeros((1, 2, 4))
+        verb[0, 0, 1] = verb[0, 1, 0] = 30.0
+        noun[0, 0, 2] = noun[0, 1, 3] = 30.0
+        loss, _, _ = batch_loss_and_grads(verb, noun, np.array([[1, 0]]), np.array([[2, 3]]))
+        assert loss < 1e-9
 
     def test_matches_scalar_arithmetic(self):
-        verb = np.array([[0.5, -0.25, 0.0], [1.0, 2.0, -1.0]])
-        noun = np.array([[0.0, 1.0], [3.0, -0.5]])
-        gt = GroundTruthSequence("e", (ActionLabel(2, 0), ActionLabel(1, 1)))
+        verb = np.array([[[0.5, -0.25, 0.0], [1.0, 2.0, -1.0]]])
+        noun = np.array([[[0.0, 1.0], [3.0, -0.5]]])
 
         def ce(row, target):
             z = sum(math.exp(x) for x in row)
             return -math.log(math.exp(row[target]) / z)
 
-        expected = ((ce(verb[0], 2) + ce(noun[0], 0)) + (ce(verb[1], 1) + ce(noun[1], 1))) / 2
-        got = anticipation_loss(StepLogits(verb_logits=verb, noun_logits=noun), gt)
-        assert got == pytest.approx(expected, abs=1e-12)
+        expected = ((ce(verb[0, 0], 2) + ce(noun[0, 0], 0)) + (ce(verb[0, 1], 1) + ce(noun[0, 1], 1))) / 2
+        loss, _, _ = batch_loss_and_grads(verb, noun, np.array([[2, 1]]), np.array([[0, 1]]))
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_shift_invariance(self, rng):
-        verb = rng.standard_normal((3, 5))
-        noun = rng.standard_normal((3, 4))
-        gt = GroundTruthSequence("e", tuple(ActionLabel(int(v), int(n)) for v, n in
-                                            zip(rng.integers(0, 5, 3), rng.integers(0, 4, 3))))
-        base = anticipation_loss(StepLogits(verb_logits=verb, noun_logits=noun), gt)
-        shifted = anticipation_loss(
-            StepLogits(verb_logits=verb + 7.5, noun_logits=noun - 3.25), gt)
+        verb = rng.standard_normal((2, 3, 5))
+        noun = rng.standard_normal((2, 3, 4))
+        verb_ids, noun_ids = rng.integers(0, 5, (2, 3)), rng.integers(0, 4, (2, 3))
+        base, _, _ = batch_loss_and_grads(verb, noun, verb_ids, noun_ids)
+        shifted, _, _ = batch_loss_and_grads(verb + 7.5, noun - 3.25, verb_ids, noun_ids)
         assert abs(base - shifted) <= 1e-6
 
     def test_out_of_range_target(self):
-        logits = StepLogits(verb_logits=np.zeros((1, 4)), noun_logits=np.zeros((1, 4)))
-        gt = GroundTruthSequence("e", (ActionLabel(9, 0),))
         with pytest.raises(ValidationError, match="range"):
-            anticipation_loss(logits, gt)
-
-    def test_length_mismatch(self):
-        logits = StepLogits(verb_logits=np.zeros((2, 4)), noun_logits=np.zeros((2, 4)))
-        gt = GroundTruthSequence("e", (ActionLabel(0, 0),))
-        with pytest.raises(ValidationError, match="horizon"):
-            anticipation_loss(logits, gt)
+            batch_loss_and_grads(np.zeros((1, 1, 4)), np.zeros((1, 1, 4)),
+                                 np.array([[9]]), np.array([[0]]))
 
 
 class TestSampleCandidates:
@@ -321,3 +310,66 @@ class TestCheckpoint:
             assert len(blob) == params[name].size * 4  # float32 little-endian
         saved_cfg = json.loads((tmp_path / "ckpt" / "config.json").read_text())
         assert saved_cfg["variant"] == "img_plus_clip" and saved_cfg["seed"] == cfg.seed
+
+
+def _block_names(prefix):
+    """Parameter names of one attention + feed-forward block (encoder layer or decoder)."""
+    return ([f"{prefix}.attn.{p}_proj.{w}" for p in "qkvo" for w in "Wb"]
+            + [f"{prefix}.{ln}.{g}" for ln in ("ln1", "ln2") for g in ("gamma", "beta")]
+            + [f"{prefix}.ffn.lin{i}.{w}" for i in (1, 2) for w in "Wb"])
+
+
+CHECKPOINT_NAMES = ["pos_embed", "step_queries", *_block_names("encoder.0"), *_block_names("encoder.1"),
+                    *_block_names("decoder"), "verb_head.W", "verb_head.b", "noun_head.W", "noun_head.b"]
+AGGREGATOR_NAMES = ["aggregator.W_q", "aggregator.W_k", "aggregator.W_v", "aggregator.W_o",
+                    "aggregator.query"]
+
+# sha256 over (name, <f4 init bytes) in sorted name order, recorded before the
+# parameter registry was rewritten: a renamed parameter or a reordered init
+# draw changes it
+INIT_SHA256 = {
+    ("baseline", False): "0a6d982004cd1eade9367d7743addca6daab7f9359a4c6a790d795e5e7e0a1c5",
+    ("clip_img_only", False): "06d278edcf6d11c85a480b6206ddeb09cea9bc457142867e23968ce76b8cdd85",
+    ("img_plus_clip", False): "0756a1ad30f4e5d1df48267dba736ec542def4993ccdfceaf9de37c4b9553d8a",
+    ("img_plus_clip_text", False): "e226df9641b3920e9eb0747b2853bb3ee8610cc0e8e6f842663cbec982fa8b69",
+    ("clip_attention", False): "52136627e48fe89610b10fb5f3d9f39767d39b1e5cb74e324071e7b5fd2fbafb",
+    ("clip_attention", True): "899290d4a351603a62c50525ceb7d20e85682acfdcea1a398ad2963fcb4a40c3",
+}
+
+
+def contract_config(variant, learned_query):
+    # c != d_video, and two encoder layers so their order is pinned too
+    return LtaModelConfig(variant=variant, n_verbs=4, n_nouns=5, c=4, d_video=6, n_input_clips=2,
+                          Z=3, n_layers=2, n_heads_agg=2, d_ff=8, d_attn=4, n_heads_ca=2,
+                          learned_query=learned_query, seed=3)
+
+
+class TestCheckpointContract:
+    def test_cases_cover_every_variant(self):
+        assert {variant for variant, _ in INIT_SHA256} == set(VARIANTS)
+
+    @pytest.mark.parametrize("variant, learned_query", list(INIT_SHA256))
+    def test_names_and_init_bytes(self, variant, learned_query):
+        params = LtaModel(contract_config(variant, learned_query)).named_parameters()
+        expected = CHECKPOINT_NAMES + (AGGREGATOR_NAMES if variant == "clip_attention" else [])
+        assert sorted(params) == sorted(expected)
+        digest = hashlib.sha256()
+        for name in sorted(params):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+        assert digest.hexdigest() == INIT_SHA256[(variant, learned_query)]
+
+    @pytest.mark.parametrize("variant, learned_query", list(INIT_SHA256))
+    def test_save_load_is_bit_identical(self, variant, learned_query, tmp_path):
+        model = LtaModel(contract_config(variant, learned_query))
+        rng = np.random.default_rng(0)
+        for value in model.named_parameters().values():
+            # values the constructor cannot reproduce, so they must come from the blobs
+            value[...] = rng.standard_normal(value.shape)
+        save_checkpoint(model, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt").named_parameters()
+        params = model.named_parameters()
+        assert loaded.keys() == params.keys()
+        for name, value in params.items():
+            assert loaded[name].dtype == value.dtype and loaded[name].shape == value.shape, name
+            assert loaded[name].tobytes() == value.tobytes(), name

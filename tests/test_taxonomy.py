@@ -3,11 +3,8 @@ import json
 import pytest
 
 from cliplta import (
-    ActionLabel,
     Taxonomy,
     ValidationError,
-    decode_action,
-    encode_action,
     load_taxonomy,
     save_taxonomy,
 )
@@ -59,30 +56,6 @@ class TestLoad:
         loaded = load_taxonomy(path)
         assert loaded == small_taxonomy
         assert loaded.sha256() == small_taxonomy.sha256()
-
-
-class TestEncodeDecode:
-    def test_positional_ids(self, tmp_path):
-        tax = load_taxonomy(write_taxonomy_file(tmp_path))
-        assert encode_action(tax, "put", "cup") == ActionLabel(1, 0)
-
-    def test_round_trip_identity_for_every_pair(self, small_taxonomy):
-        for verb in small_taxonomy.verbs:
-            for noun in small_taxonomy.nouns:
-                label = encode_action(small_taxonomy, verb, noun)
-                assert decode_action(small_taxonomy, label) == (verb, noun)
-
-    def test_unknown_verb_named_in_error(self, small_taxonomy):
-        with pytest.raises(ValidationError, match="peel"):
-            encode_action(small_taxonomy, "peel", "cup")
-
-    def test_unknown_noun_named_in_error(self, small_taxonomy):
-        with pytest.raises(ValidationError, match="spoon"):
-            encode_action(small_taxonomy, "take", "spoon")
-
-    def test_decode_out_of_range(self, small_taxonomy):
-        with pytest.raises(ValidationError):
-            decode_action(small_taxonomy, ActionLabel(99, 0))
 
 
 class TestInvariants:
