@@ -13,9 +13,7 @@ Library layout:
 """
 
 from .aggregate import (
-    ClipDescriptor,
     ProbeReport,
-    cross_attention_aggregate,
     img_text_concat,
     init_cross_attention,
     mean_pool,

@@ -1,19 +1,23 @@
 """Clip-level descriptors from per-frame embeddings.
 
-Three aggregation strategies turn an (N, c) frame-embedding matrix into a
-single clip descriptor:
+Every aggregator maps a frame array of shape (..., N, c), any leading shape
+(one clip, an example's T clips, a whole split of (B, T) clips), to one
+descriptor per clip:
 
-* ``mean_pool`` - plain temporal average, width c.
+* ``mean_pool`` - plain temporal average, (..., N, c) -> (..., c).
 * ``img_text_concat`` - the mean-pooled image descriptor concatenated with
   the top-1 noun / verb / scenario / place text embeddings retrieved by
-  cosine similarity, width 5c.
-* ``cross_attention_aggregate`` - a single text-prompt query attends over
-  the frames through multi-head attention; the weighted average of the
-  projected frames is the descriptor, width c.
+  cosine similarity, (..., N, c) -> (..., 5c).
+* ``cross_attention_forward`` - a single text-prompt query attends over the
+  frames through multi-head attention; the weighted average of the projected
+  frames is the descriptor, (B, N, c) -> (B, c). It is the one trainable
+  aggregator, so it also has a backward pass.
 
 None of these apply positional information, so all three are invariant to
-frame order. A cosine-ranking probe over the four label vocabularies is
-included for zero-shot inspection of individual frames.
+frame order. ``rank_labels`` is the one cosine label ranker: it maps query
+rows (..., c) to the top-k ids (..., k) int64 and their scores (..., k)
+float64. ``img_text_concat`` retrieves with it, and so does the zero-shot
+probe of individual frames.
 """
 
 from __future__ import annotations
@@ -24,76 +28,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .featurestore import FrameEmbeddingSequence, TextEmbeddingTable
+from .featurestore import TextEmbeddingTable
 from .nn import Module, softmax, softmax_backward
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
 
 
-@dataclass(frozen=True)
-class ClipDescriptor:
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector)
-        if vector.ndim != 1:
-            raise ValidationError(f"clip descriptor must be 1-d, got shape {vector.shape}")
-        if not np.all(np.isfinite(vector)):
-            raise ValidationError("clip descriptor contains non-finite values")
-        object.__setattr__(self, "vector", vector)
-
-    @property
-    def width(self) -> int:
-        return self.vector.shape[0]
+def mean_pool(frames: np.ndarray) -> np.ndarray:
+    """Average the frame embeddings over time: out[..., j] = (1/N) * sum_r frames[..., r, j]."""
+    frames = np.asarray(frames)
+    if frames.ndim < 2 or frames.shape[-2] < 1:
+        raise ValidationError(f"expected frames of shape (..., N, c) with N >= 1, got shape {frames.shape}")
+    return frames.mean(axis=-2)
 
 
-def _as_frames_array(frames) -> np.ndarray:
-    if isinstance(frames, FrameEmbeddingSequence):
-        return frames.frames
-    arr = np.asarray(frames)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValidationError(f"expected a non-empty (N, c) frame matrix, got shape {arr.shape}")
-    return arr
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norms of the rows of ``x`` (..., c), kept as a trailing axis (..., 1).
 
-
-def mean_pool(frames) -> ClipDescriptor:
-    """Average the frame embeddings over time: out[j] = (1/N) * sum_r frames[r, j]."""
-    arr = _as_frames_array(frames)
-    return ClipDescriptor(vector=arr.mean(axis=0))
-
-
-def rank_labels(query: np.ndarray, table: TextEmbeddingTable, k: int) -> list[tuple[int, float]]:
-    """Top-k taxonomy ids by cosine similarity between query and table rows.
-
-    Both sides are L2-normalized, so the ranking (and the scores) are
-    invariant to positive rescaling of the query or of any row. Ties break
-    toward the lower id for cross-platform determinism.
+    One stacked dot product per row sums in the same order as
+    ``np.linalg.norm`` of that row alone, so a batched call gives the bytes
+    of the per-row calls.
     """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise ValidationError(f"query must be a vector, got shape {query.shape}")
-    if query.shape[0] != table.width:
-        raise ValidationError(f"query width {query.shape[0]} does not match table width {table.width}")
-    norm = np.linalg.norm(query)
-    if norm == 0:
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+
+
+def rank_labels(queries: np.ndarray, table: TextEmbeddingTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k taxonomy ids per query row by cosine similarity against the table rows.
+
+    Returns (ids (..., k) int64, scores (..., k) float64) for queries of
+    shape (..., c). Both sides are L2-normalized, so the ranking (and the
+    scores) are invariant to positive rescaling of a query or of any row.
+    Ties break toward the lower id for cross-platform determinism. The
+    scores are one mat-vec product per query, so they do not depend on how
+    many queries share the call.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim < 1 or queries.shape[-1] != table.width:
+        raise ValidationError(f"query shape {queries.shape} does not match table width {table.width}")
+    norms = _row_norms(queries)
+    if np.any(norms == 0):
         raise ValidationError("cannot rank labels against a zero query vector")
     if k < 1 or k > len(table):
         raise ValidationError(f"k={k} out of range for a table with {len(table)} rows")
-    scores = table.normalized() @ (query / norm)
-    order = np.lexsort((np.arange(len(table)), -scores))
-    return [(int(i), float(scores[i])) for i in order[:k]]
+    scores = np.matmul(table.normalized(), (queries / norms)[..., None])[..., 0]   # (..., V)
+    ids = np.argsort(-scores, axis=-1, kind="stable")[..., :k].astype(np.int64, copy=False)
+    return ids, np.take_along_axis(scores, ids, axis=-1)
 
 
-def img_text_concat(frames, tables: dict[str, TextEmbeddingTable]) -> ClipDescriptor:
+def img_text_concat(frames: np.ndarray, tables: dict[str, TextEmbeddingTable]) -> np.ndarray:
     """Mean-pooled image descriptor plus the top-1 text embedding per category.
 
     The mean-pooled descriptor is the retrieval query for all four
     categories. Selected rows are L2-normalized before concatenation, and the
-    block order is fixed: image, noun, verb, scenario, place. Output width 5c.
+    block order is fixed: image, noun, verb, scenario, place. Maps
+    (..., N, c) to (..., 5c) in the dtype of ``frames``.
     """
-    arr = _as_frames_array(frames)
-    c = arr.shape[1]
+    image = mean_pool(frames)
+    c = image.shape[-1]
     for category in CONCAT_CATEGORIES:
         if category not in tables:
             raise ValidationError(f"missing text table for category {category!r}")
@@ -101,14 +93,12 @@ def img_text_concat(frames, tables: dict[str, TextEmbeddingTable]) -> ClipDescri
             raise ValidationError(
                 f"text table {category!r} width {tables[category].width} does not match frame width {c}"
             )
-    image = arr.mean(axis=0)
     blocks = [image]
     for category in CONCAT_CATEGORIES:
-        table = tables[category]
-        top_id, _ = rank_labels(image, table, 1)[0]
-        row = table.embeddings[top_id]
-        blocks.append(row / np.linalg.norm(row))
-    return ClipDescriptor(vector=np.concatenate(blocks))
+        ids, _ = rank_labels(image, tables[category], 1)
+        rows = tables[category].embeddings[ids[..., 0]]
+        blocks.append(rows / _row_norms(rows))
+    return np.concatenate(blocks, axis=-1, dtype=image.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +225,6 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
     return grads, d_query, d_frames
 
 
-def cross_attention_aggregate(params: CrossAttention, query: np.ndarray, frames) -> ClipDescriptor:
-    """Single-clip convenience wrapper around the batched forward pass."""
-    arr = _as_frames_array(frames)
-    out, _ = cross_attention_forward(params, query, arr[None, :, :])
-    return ClipDescriptor(vector=out[0])
-
-
-def cross_attention_weights(params: CrossAttention, query: np.ndarray, frames) -> np.ndarray:
-    """Per-head attention weights (n_heads, N); each row sums to 1."""
-    arr = _as_frames_array(frames)
-    _, cache = cross_attention_forward(params, query, arr[None, :, :])
-    return cache["weights"][0]
-
-
 # ---------------------------------------------------------------------------
 # zero-shot probe
 # ---------------------------------------------------------------------------
@@ -268,6 +244,9 @@ def zero_shot_probe(frame: np.ndarray, tables: dict[str, TextEmbeddingTable]) ->
     Top-1 for place and scenario, top-3 for verbs and nouns; verbs and nouns
     vocabularies therefore need at least 3 entries.
     """
+    frame = np.asarray(frame)
+    if frame.ndim != 1:
+        raise ValidationError(f"probe frame must be a vector, got shape {frame.shape}")
     for category in CONCAT_CATEGORIES:
         if category not in tables:
             raise ValidationError(f"missing text table for category {category!r}")
@@ -276,11 +255,16 @@ def zero_shot_probe(frame: np.ndarray, tables: dict[str, TextEmbeddingTable]) ->
             raise ValidationError(
                 f"{category} vocabulary too small for a top-3 probe ({len(tables[category])} rows)"
             )
+
+    def top(category: str, k: int) -> list[tuple[int, float]]:
+        ids, scores = rank_labels(frame, tables[category], k)
+        return [(int(i), float(s)) for i, s in zip(ids, scores)]
+
     return ProbeReport(
-        top1_place=rank_labels(frame, tables["place"], 1)[0],
-        top1_scenario=rank_labels(frame, tables["scenario"], 1)[0],
-        top3_verbs=rank_labels(frame, tables["verb"], 3),
-        top3_nouns=rank_labels(frame, tables["noun"], 3),
+        top1_place=top("place", 1)[0],
+        top1_scenario=top("scenario", 1)[0],
+        top3_verbs=top("verb", 3),
+        top3_nouns=top("noun", 3),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .aggregate import probe_record, zero_shot_probe
-from .errors import ValidationError, read_json_object
+from .errors import ValidationError, read_json_object, require
 from .featurestore import FeatureStore
 from .harness import DEFAULT_PROMPT_TEMPLATE, TrainConfig, build_label_tables, run_eval, train
 from .synthdata import SynthConfig, generate
@@ -165,14 +165,16 @@ def _cmd_report(args) -> int:
         config_path = run / "train_config.json"
         if not config_path.is_file():
             raise ValidationError(f"{run} does not look like a run directory (no train_config.json)")
-        with open(config_path, encoding="utf-8") as f:
-            variant = json.load(f).get("variant", "?")
+        variant = read_json_object(config_path, "run config").get("variant", "?")
         report_path = run / "report.json"
         if report_path.is_file():
-            with open(report_path, encoding="utf-8") as f:
-                rep = json.load(f)
-            rows.append({"method": variant, "verb": rep["verb_ed"], "noun": rep["noun_ed"],
-                         "n_examples": rep["n_examples"], "run": str(run)})
+            rep = read_json_object(report_path, "eval report")
+            what = f"eval report {report_path}"
+            rows.append({"method": variant,
+                         "verb": require(rep.get("verb_ed"), float, f"{what}: 'verb_ed'"),
+                         "noun": require(rep.get("noun_ed"), float, f"{what}: 'noun_ed'"),
+                         "n_examples": require(rep.get("n_examples"), int, f"{what}: 'n_examples'"),
+                         "run": str(run)})
         else:
             rows.append({"method": variant, "verb": None, "noun": None, "n_examples": 0, "run": str(run)})
     if args.as_json:

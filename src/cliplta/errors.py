@@ -2,7 +2,8 @@
 
 Two categories, mirroring the CLI exit codes: bad inputs (schemas,
 preconditions, lookups) and numeric/runtime failures. ``read_json_object``
-is the one JSON reader, so a malformed file is always a bad input.
+is the one JSON reader, so a malformed file is always a bad input, and
+``require`` checks the type of one field read from it.
 """
 
 import json
@@ -27,3 +28,17 @@ def read_json_object(path: Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
     return raw
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def require(value, kind: type, what: str):
+    """``value`` if JSON gave it as a ``kind``; raises ValidationError naming ``what`` otherwise.
+
+    A bool is never an integer or a number; a number may be an integer.
+    """
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value

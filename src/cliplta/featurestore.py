@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, read_json_object
+from .errors import NumericError, ValidationError, read_json_object, require
 from .taxonomy import CATEGORIES, Taxonomy
 
 MANIFEST_NAME = "manifest.json"
@@ -232,11 +232,21 @@ class FeatureStore:
         manifest = read_json_object(manifest_path, "store manifest")
         if manifest.get("dtype") != DTYPE_TAG:
             raise ValidationError(f"unsupported store dtype {manifest.get('dtype')!r}")
-        store = cls(root, int(manifest["c"]), int(manifest["d_video"]), writable=False)
-        for entry in manifest["clips"]:
-            if entry["id"] in store._clips:
-                raise ValidationError(f"manifest lists clip {entry['id']!r} twice")
-            store._clips[entry["id"]] = entry
+        where = f"store manifest {manifest_path}"
+        c = require(manifest.get("c"), int, f"{where}: 'c'")
+        d_video = require(manifest.get("d_video"), int, f"{where}: 'd_video'")
+        store = cls(root, c, d_video, writable=False)
+        for i, entry in enumerate(require(manifest.get("clips"), list, f"{where}: 'clips'")):
+            field = f"{where}: clips[{i}]"
+            require(entry, dict, field)
+            clip_id = require(entry.get("id"), str, f"{field}.id")
+            if require(entry.get("n_frames"), int, f"{field}.n_frames") < 1:
+                raise ValidationError(f"{field}.n_frames must be >= 1, got {entry['n_frames']}")
+            require(entry.get("frames_file"), str, f"{field}.frames_file")
+            require(entry.get("video_file"), str, f"{field}.video_file")
+            if clip_id in store._clips:
+                raise ValidationError(f"manifest lists clip {clip_id!r} twice")
+            store._clips[clip_id] = entry
         return store
 
     def clip_ids(self) -> list[str]:
@@ -257,7 +267,7 @@ class FeatureStore:
         entry = self._clips.get(clip_id)
         if entry is None:
             raise ValidationError(f"unknown clip id {clip_id!r}")
-        n = int(entry["n_frames"])
+        n = entry["n_frames"]
         frames = self._read_blob(entry["frames_file"], n * self.c).reshape(n, self.c)
         video = self._read_blob(entry["video_file"], self.d_video)
         return (

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import img_text_concat
+from .aggregate import img_text_concat, mean_pool
 from .errors import NumericError, ValidationError
 from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
 from .metrics import EvalReport, ed_at_zk, evaluate, read_ground_truth
@@ -200,16 +200,11 @@ def precompute_descriptors(dataset: Dataset, variant: str,
     """Fill dataset.clip_desc for variants whose aggregation has no trainable parts."""
     source = variant_spec(variant).clip_source
     if source == "mean":
-        dataset.clip_desc = dataset.frames.mean(axis=2)
+        dataset.clip_desc = mean_pool(dataset.frames)
     elif source == "text":
         if tables is None:
             raise ValidationError(f"{variant} requires label text tables")
-        B, T, _, c = dataset.frames.shape
-        desc = np.empty((B, T, 5 * c), dtype=dataset.frames.dtype)
-        for b in range(B):
-            for t in range(T):
-                desc[b, t] = img_text_concat(dataset.frames[b, t], tables).vector
-        dataset.clip_desc = desc
+        dataset.clip_desc = img_text_concat(dataset.frames, tables)
 
 
 def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, variant: str,

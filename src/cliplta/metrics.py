@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ValidationError, read_json_object
+from .errors import ValidationError, read_json_object, require
 from .model import PredictionSet, read_predictions
 from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy
 
@@ -141,7 +141,9 @@ def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int,
     for key in ("Z", "taxonomy_sha256", "examples"):
         if key not in payload:
             raise ValidationError(f"ground truth file missing key '{key}'")
-    Z = int(payload["Z"])
+    Z = require(payload["Z"], int, f"ground truth file {path}: 'Z'")
+    if Z < 1:
+        raise ValidationError(f"ground truth file {path}: 'Z' must be >= 1, got {Z}")
     examples = payload["examples"]
     if not isinstance(examples, dict):
         raise ValidationError(f"ground truth file {path}: 'examples' must be an object of id -> entry")
@@ -155,10 +157,13 @@ def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int,
             raise ValidationError(f"ground truth for {example_id!r} must hold verb/noun id lists")
         if len(verbs) != Z or len(nouns) != Z:
             raise ValidationError(f"ground truth for {example_id!r} does not have length Z={Z}")
+        for field, ids in (("verb", verbs), ("noun", nouns)):
+            for i, label_id in enumerate(ids):
+                require(label_id, int, f"ground truth file {path}: example {example_id!r} {field}[{i}]")
         sequences.append(
             GroundTruthSequence(
                 example_id=example_id,
-                actions=tuple(ActionLabel(int(v), int(n)) for v, n in zip(verbs, nouns)),
+                actions=tuple(ActionLabel(v, n) for v, n in zip(verbs, nouns)),
             )
         )
     return sequences, Z, payload["taxonomy_sha256"]

@@ -1,6 +1,15 @@
-"""Shared test utilities: the brute-force edit oracle and gradient checking."""
+"""Shared test utilities: the brute-force edit oracle, gradient checking, and
+single-clip attention."""
 
 import numpy as np
+
+from cliplta.aggregate import cross_attention_forward
+
+
+def attend(params, query, frames):
+    """One (N, c) clip through the batched forward pass: (descriptor (c,), weights (H, N))."""
+    out, cache = cross_attention_forward(params, query, np.asarray(frames)[None])
+    return out[0], cache["weights"][0]
 
 
 def edit_neighbors(s: tuple, alphabet: tuple, max_len: int) -> set:

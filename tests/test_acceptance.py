@@ -35,15 +35,13 @@ from cliplta import (
     zero_shot_probe,
 )
 from cliplta.aggregate import (
-    cross_attention_aggregate,
     cross_attention_backward,
     cross_attention_forward,
-    cross_attention_weights,
     probe_record,
 )
 from cliplta.model import LtaModelConfig, batch_loss_and_grads
 from cliplta.taxonomy import ActionLabel, GroundTruthSequence
-from helpers import brute_force_edit_distance, finite_difference, max_rel_err
+from helpers import attend, brute_force_edit_distance, finite_difference, max_rel_err
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -112,30 +110,28 @@ class TestAggregationInvariants:
         query = rng.standard_normal(c)
         tables = stub_tables(c=c)
 
-        pooled = mean_pool(frames).vector
-        attended = cross_attention_aggregate(params, query, frames).vector
-        concat = img_text_concat(frames, tables).vector
+        pooled = mean_pool(frames)
+        attended, weights = attend(params, query, frames)
+        concat = img_text_concat(frames, tables)
         assert pooled.shape == (c,)
         assert attended.shape == (c,)
         assert concat.shape == (5 * c,)
 
         for _ in range(10):
             perm = rng.permutation(len(frames))
-            np.testing.assert_allclose(mean_pool(frames[perm]).vector, pooled, atol=1e-6)
-            np.testing.assert_allclose(
-                cross_attention_aggregate(params, query, frames[perm]).vector, attended, atol=1e-6)
+            np.testing.assert_allclose(mean_pool(frames[perm]), pooled, atol=1e-6)
+            np.testing.assert_allclose(attend(params, query, frames[perm])[0], attended, atol=1e-6)
 
-        weights = cross_attention_weights(params, query, frames)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
-        base_ids = [rank_labels(pooled, tables[cat], 1)[0][0]
+        base_ids = [rank_labels(pooled, tables[cat], 1)[0].tolist()
                     for cat in ("noun", "verb", "scenario", "place")]
         for scale in (0.25, 3.0, 40.0):
-            scaled_ids = [rank_labels(scale * pooled, tables[cat], 1)[0][0]
+            scaled_ids = [rank_labels(scale * pooled, tables[cat], 1)[0].tolist()
                           for cat in ("noun", "verb", "scenario", "place")]
             assert scaled_ids == base_ids
-        scaled_concat = img_text_concat(5.0 * frames, tables).vector
+        scaled_concat = img_text_concat(5.0 * frames, tables)
         np.testing.assert_allclose(scaled_concat[c:], concat[c:], atol=1e-9)
         _passed("aggregation-invariants")
 

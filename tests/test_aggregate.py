@@ -7,7 +7,6 @@ from cliplta import (
     Taxonomy,
     TextEmbeddingTable,
     ValidationError,
-    cross_attention_aggregate,
     img_text_concat,
     init_cross_attention,
     mean_pool,
@@ -17,30 +16,29 @@ from cliplta import (
 from cliplta.aggregate import (
     cross_attention_backward,
     cross_attention_forward,
-    cross_attention_weights,
     probe_record,
 )
-from helpers import finite_difference, max_rel_err
+from helpers import attend, finite_difference, max_rel_err
 
 
 class TestMeanPool:
     def test_single_frame_identity(self):
         v = np.array([[3.0, -1.0, 2.0]])
-        np.testing.assert_array_equal(mean_pool(v).vector, v[0])
+        np.testing.assert_array_equal(mean_pool(v), v[0])
 
     def test_two_frame_average(self):
         frames = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(mean_pool(frames).vector, [0.5, 0.5])
+        np.testing.assert_allclose(mean_pool(frames), [0.5, 0.5])
 
     def test_permutation_invariance(self, rng):
         frames = rng.standard_normal((9, 6))
-        base = mean_pool(frames).vector
+        base = mean_pool(frames)
         for _ in range(5):
             perm = rng.permutation(9)
-            np.testing.assert_allclose(mean_pool(frames[perm]).vector, base, atol=1e-6)
+            np.testing.assert_allclose(mean_pool(frames[perm]), base, atol=1e-6)
 
     def test_output_width_is_c(self, rng):
-        assert mean_pool(rng.standard_normal((4, 11))).width == 11
+        assert mean_pool(rng.standard_normal((4, 11))).shape == (11,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -55,7 +53,7 @@ def table_from_rows(rows, category="noun"):
 class TestRankLabels:
     def test_hand_computed_cosine(self):
         table = table_from_rows([[1.0, 0.0], [0.0, 1.0]])
-        [(top_id, score)] = rank_labels(np.array([0.9, 0.1]), table, 1)
+        [top_id], [score] = rank_labels(np.array([0.9, 0.1]), table, 1)
         assert top_id == 0
         assert score == pytest.approx(0.9 / math.hypot(0.9, 0.1), abs=1e-12)
         assert score == pytest.approx(0.9939, abs=1e-4)
@@ -63,32 +61,31 @@ class TestRankLabels:
     def test_scale_invariance(self, rng):
         table = table_from_rows(rng.standard_normal((5, 4)))
         q = rng.standard_normal(4)
-        base = rank_labels(q, table, 5)
-        scaled = rank_labels(5.0 * q, table, 5)
-        assert [i for i, _ in base] == [i for i, _ in scaled]
-        np.testing.assert_allclose([s for _, s in base], [s for _, s in scaled], atol=1e-12)
+        base_ids, base_scores = rank_labels(q, table, 5)
+        scaled_ids, scaled_scores = rank_labels(5.0 * q, table, 5)
+        np.testing.assert_array_equal(base_ids, scaled_ids)
+        np.testing.assert_allclose(base_scores, scaled_scores, atol=1e-12)
 
     def test_row_scale_invariance(self, rng):
         rows = rng.standard_normal((5, 4))
         q = rng.standard_normal(4)
-        base = rank_labels(q, table_from_rows(rows), 5)
+        base_ids, base_scores = rank_labels(q, table_from_rows(rows), 5)
         rows2 = rows * rng.uniform(0.1, 10.0, (5, 1))
-        scaled = rank_labels(q, table_from_rows(rows2), 5)
-        assert [i for i, _ in base] == [i for i, _ in scaled]
-        np.testing.assert_allclose([s for _, s in base], [s for _, s in scaled], atol=1e-9)
+        scaled_ids, scaled_scores = rank_labels(q, table_from_rows(rows2), 5)
+        np.testing.assert_array_equal(base_ids, scaled_ids)
+        np.testing.assert_allclose(base_scores, scaled_scores, atol=1e-9)
 
     def test_self_similarity(self):
         table = table_from_rows([[1.0, 0.0], [0.0, 2.0]])
-        [(top_id, score)] = rank_labels(np.array([0.0, 1.0]), table, 1)
+        [top_id], [score] = rank_labels(np.array([0.0, 1.0]), table, 1)
         assert top_id == 1
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_scores_sorted_and_ties_break_low(self):
         table = table_from_rows([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ranked = rank_labels(np.array([1.0, 0.0]), table, 3)
-        assert [i for i, _ in ranked] == [0, 1, 2]
-        scores = [s for _, s in ranked]
-        assert scores == sorted(scores, reverse=True)
+        ids, scores = rank_labels(np.array([1.0, 0.0]), table, 3)
+        assert ids.tolist() == [0, 1, 2]
+        assert scores.tolist() == sorted(scores.tolist(), reverse=True)
 
     def test_zero_query_rejected(self):
         table = table_from_rows([[1.0, 0.0]])
@@ -113,19 +110,19 @@ class TestImgTextConcat:
     def test_hand_worked_concat(self):
         frames = np.array([[1.0, 0.0], [1.0, 0.0]])
         out = img_text_concat(frames, self.make_tables())
-        np.testing.assert_allclose(out.vector, [1, 0, 1, 0, 1, 0, 1, 0, 1, 0], atol=1e-12)
-        assert out.width == 10
+        np.testing.assert_allclose(out, [1, 0, 1, 0, 1, 0, 1, 0, 1, 0], atol=1e-12)
+        assert out.shape == (10,)
 
     def test_output_width_is_5c(self, rng, stub_tables):
         tables = stub_tables(c=16)
         frames = rng.standard_normal((3, 16))
-        assert img_text_concat(frames, tables).width == 5 * 16
+        assert img_text_concat(frames, tables).shape == (5 * 16,)
 
     def test_frame_scaling_keeps_selections(self, rng, stub_tables):
         tables = stub_tables(c=16)
         frames = rng.standard_normal((4, 16))
-        base = img_text_concat(frames, tables).vector
-        scaled = img_text_concat(3.0 * frames, tables).vector
+        base = img_text_concat(frames, tables)
+        scaled = img_text_concat(3.0 * frames, tables)
         # text blocks (everything past the image block) are unchanged
         np.testing.assert_allclose(scaled[16:], base[16:], atol=1e-9)
         np.testing.assert_allclose(scaled[:16], 3.0 * base[:16], atol=1e-9)
@@ -133,8 +130,8 @@ class TestImgTextConcat:
     def test_frame_permutation_invariance(self, rng, stub_tables):
         tables = stub_tables(c=16)
         frames = rng.standard_normal((5, 16))
-        base = img_text_concat(frames, tables).vector
-        np.testing.assert_allclose(img_text_concat(frames[::-1], tables).vector, base, atol=1e-6)
+        base = img_text_concat(frames, tables)
+        np.testing.assert_allclose(img_text_concat(frames[::-1], tables), base, atol=1e-6)
 
     def test_missing_table_rejected(self, rng):
         tables = self.make_tables()
@@ -147,12 +144,38 @@ class TestImgTextConcat:
             img_text_concat(rng.standard_normal((2, 8)), stub_tables(c=16))
 
 
+class TestBatchedCalls:
+    def test_batched_call_equals_per_clip_calls_bytewise(self, rng, stub_tables):
+        # one call over (B, T, N, c) must give the bytes of B*T single-clip calls,
+        # and a single-query ranking the bytes of the plain per-vector formula
+        tables = stub_tables(c=16)
+        frames = rng.standard_normal((10, 5, 6, 16)).astype(np.float32)
+        pooled = mean_pool(frames)
+        concat = img_text_concat(frames, tables)
+        ids, scores = rank_labels(pooled, tables["noun"], 3)
+        assert pooled.shape == (10, 5, 16) and concat.shape == (10, 5, 80)
+        assert concat.dtype == np.float32
+        assert ids.shape == scores.shape == (10, 5, 3)
+        assert ids.dtype == np.int64 and scores.dtype == np.float64
+        normalized = tables["noun"].normalized()
+        for b in range(10):
+            for t in range(5):
+                assert mean_pool(frames[b, t]).tobytes() == pooled[b, t].tobytes()
+                assert img_text_concat(frames[b, t], tables).tobytes() == concat[b, t].tobytes()
+                one_ids, one_scores = rank_labels(pooled[b, t], tables["noun"], 3)
+                assert one_ids.tobytes() == ids[b, t].tobytes()
+                assert one_scores.tobytes() == scores[b, t].tobytes()
+                q = pooled[b, t].astype(np.float64)
+                reference = normalized @ (q / np.linalg.norm(q))
+                assert one_scores.tobytes() == reference[one_ids].tobytes()
+
+
 class TestCrossAttention:
     def test_single_key_ignores_query(self, rng):
         params = init_cross_attention(rng, c=6, d_attn=6, n_heads=2)
         frame = rng.standard_normal((1, 6))
-        out1 = cross_attention_aggregate(params, rng.standard_normal(6), frame).vector
-        out2 = cross_attention_aggregate(params, rng.standard_normal(6), frame).vector
+        out1, _ = attend(params, rng.standard_normal(6), frame)
+        out2, _ = attend(params, rng.standard_normal(6), frame)
         expected = (frame[0] @ params.W_v) @ params.W_o
         np.testing.assert_allclose(out1, expected, atol=1e-10)
         np.testing.assert_allclose(out2, expected, atol=1e-10)
@@ -161,13 +184,13 @@ class TestCrossAttention:
         params = init_cross_attention(rng, c=6, d_attn=6, n_heads=3)
         query = rng.standard_normal(6)
         frame = rng.standard_normal(6)
-        single = cross_attention_aggregate(params, query, frame[None, :]).vector
-        repeated = cross_attention_aggregate(params, query, np.tile(frame, (7, 1))).vector
+        single, _ = attend(params, query, frame[None, :])
+        repeated, _ = attend(params, query, np.tile(frame, (7, 1)))
         np.testing.assert_allclose(repeated, single, atol=1e-10)
 
     def test_weights_are_probability_vectors(self, rng):
         params = init_cross_attention(rng, c=8, d_attn=8, n_heads=4)
-        weights = cross_attention_weights(params, rng.standard_normal(8), rng.standard_normal((11, 8)))
+        _, weights = attend(params, rng.standard_normal(8), rng.standard_normal((11, 8)))
         assert weights.shape == (4, 11)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
@@ -176,21 +199,21 @@ class TestCrossAttention:
         params = init_cross_attention(rng, c=8, d_attn=8, n_heads=2)
         query = rng.standard_normal(8)
         frames = rng.standard_normal((10, 8))
-        base = cross_attention_aggregate(params, query, frames).vector
+        base, _ = attend(params, query, frames)
         for _ in range(5):
             perm = rng.permutation(10)
-            out = cross_attention_aggregate(params, query, frames[perm]).vector
+            out, _ = attend(params, query, frames[perm])
             np.testing.assert_allclose(out, base, atol=1e-6)
 
     def test_output_width_is_c(self, rng):
         params = init_cross_attention(rng, c=12, d_attn=8, n_heads=2)
-        out = cross_attention_aggregate(params, rng.standard_normal(12), rng.standard_normal((3, 12)))
-        assert out.width == 12
+        out, _ = attend(params, rng.standard_normal(12), rng.standard_normal((3, 12)))
+        assert out.shape == (12,)
 
     def test_dimension_mismatch_rejected(self, rng):
         params = init_cross_attention(rng, c=8, d_attn=8, n_heads=2)
         with pytest.raises(ValidationError):
-            cross_attention_aggregate(params, rng.standard_normal(8), rng.standard_normal((3, 5)))
+            attend(params, rng.standard_normal(8), rng.standard_normal((3, 5)))
 
     def test_invalid_params_rejected(self, rng):
         with pytest.raises(ValidationError, match="divisible"):
@@ -248,6 +271,10 @@ class TestZeroShotProbe:
         tables["verb"] = TextEmbeddingTable(category="verb", embeddings=rows, prompt_template="{}")
         with pytest.raises(ValidationError, match="too small"):
             zero_shot_probe(np.ones(16), tables)
+
+    def test_frame_matrix_rejected(self, stub_tables):
+        with pytest.raises(ValidationError, match="vector"):
+            zero_shot_probe(np.ones((2, 16)), stub_tables(c=16))
 
     def test_probe_record_shape(self, rng, stub_tables, small_taxonomy):
         tables = stub_tables(c=16)

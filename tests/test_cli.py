@@ -168,6 +168,12 @@ def _set_first_example(payload, value):
     payload["examples"][min(payload["examples"])] = value
 
 
+def _set_first_id(payload, field, value):
+    payload["examples"][min(payload["examples"])][field][0] = value
+
+
+STORE = "data/store/manifest.json"
+
 # case -> (file under the workspace, edit to its JSON, text its error message must hold)
 MALFORMED_FIELDS = {
     "config_extra_key": ("run/checkpoint/config.json", lambda p: p.update(extra=1), "extra"),
@@ -177,6 +183,23 @@ MALFORMED_FIELDS = {
     "gt_examples_not_object": ("data/gt_val.json", lambda p: p.update(examples=[1]), "'examples'"),
     "gt_entry_not_object": ("data/gt_val.json", lambda p: _set_first_example(p, 1), "val_00000"),
     "gt_no_examples": ("data/gt_val.json", lambda p: p.update(examples={}), "'examples'"),
+    "gt_z_string": ("data/gt_val.json", lambda p: p.update(Z="x"), "'Z'"),
+    "gt_z_zero": ("data/gt_val.json", lambda p: p.update(Z=0), "'Z'"),
+    "gt_verb_id_string": ("data/gt_val.json", lambda p: _set_first_id(p, "verb", "a"), "'val_00000' verb[0]"),
+    "gt_verb_id_float": ("data/gt_val.json", lambda p: _set_first_id(p, "verb", 1.5), "'val_00000' verb[0]"),
+    "gt_verb_id_bool": ("data/gt_val.json", lambda p: _set_first_id(p, "verb", True), "'val_00000' verb[0]"),
+    "gt_noun_id_null": ("data/gt_val.json", lambda p: _set_first_id(p, "noun", None), "'val_00000' noun[0]"),
+    "store_without_c": (STORE, lambda p: p.pop("c"), "'c'"),
+    "store_d_video_string": (STORE, lambda p: p.update(d_video="8"), "'d_video'"),
+    "store_without_clips": (STORE, lambda p: p.pop("clips"), "'clips'"),
+    "store_clip_not_object": (STORE, lambda p: p["clips"].__setitem__(0, 1), "clips[0]"),
+    "store_clip_id_not_string": (STORE, lambda p: p["clips"][0].update(id=3), "clips[0].id"),
+    "store_clip_n_frames_zero": (STORE, lambda p: p["clips"][0].update(n_frames=0), "clips[0].n_frames"),
+    "store_clip_n_frames_float": (STORE, lambda p: p["clips"][0].update(n_frames=3.0), "clips[0].n_frames"),
+    "store_clip_without_frames_file": (STORE, lambda p: p["clips"][0].pop("frames_file"),
+                                       "clips[0].frames_file"),
+    "store_clip_video_file_null": (STORE, lambda p: p["clips"][0].update(video_file=None),
+                                   "clips[0].video_file"),
 }
 
 
@@ -186,17 +209,43 @@ def test_malformed_field_is_2_and_named(workspace, tmp_path, capsys, case):
 
     rel, change, field = MALFORMED_FIELDS[case]
     ckpt = shutil.copytree(workspace / "run" / "checkpoint", tmp_path / "run" / "checkpoint")
-    (tmp_path / "data").mkdir()
+    store = shutil.copytree(workspace / "data" / "store", tmp_path / "data" / "store")
     gt = shutil.copy(workspace / "data" / "gt_val.json", tmp_path / "data" / "gt_val.json")
     target = tmp_path / rel
     payload = json.loads(target.read_text(encoding="utf-8"))
     change(payload)
     target.write_text(json.dumps(payload), encoding="utf-8")
     assert main([
-        "eval", "--checkpoint", str(ckpt), "--store", str(workspace / "data" / "store"),
+        "eval", "--checkpoint", str(ckpt), "--store", str(store),
         "--gt", str(gt), "--taxonomy", str(workspace / "data" / "taxonomy.json"),
         "--out-dir", str(tmp_path / "e"),
     ]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and field in err, err
+    assert "runtime error" not in err
+
+
+# case -> (file under the run directory, its new text, text its error message must hold)
+MALFORMED_RUNS = {
+    "config_truncated": ("train_config.json", lambda text: text[:-20], "not valid JSON"),
+    "report_truncated": ("report.json", lambda text: text[:-20], "not valid JSON"),
+    "report_empty_object": ("report.json", lambda text: "{}", "'verb_ed'"),
+    "report_without_n_examples": ("report.json",
+                                  lambda text: json.dumps({"verb_ed": 0.5, "noun_ed": 0.5}), "'n_examples'"),
+    "report_ed_string": ("report.json",
+                         lambda text: json.dumps({"verb_ed": "x", "noun_ed": 0.5, "n_examples": 1}), "'verb_ed'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RUNS)
+def test_report_on_malformed_run_is_2_and_named(workspace, tmp_path, capsys, case):
+    import shutil
+
+    name, change, field = MALFORMED_RUNS[case]
+    run = shutil.copytree(workspace / "run", tmp_path / "run")
+    target = run / name
+    target.write_text(change(target.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["report", "--runs", str(run)]) == 2
     err = capsys.readouterr().err
     assert str(target) in err and field in err, err
     assert "runtime error" not in err

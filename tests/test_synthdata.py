@@ -90,7 +90,7 @@ class TestGenerate:
         correct = 0
         for gt in ds.gt_train:
             frames, _ = store.read_clip(f"{gt.example_id}#0")
-            pooled = mean_pool(frames).vector
+            pooled = mean_pool(frames.frames)
             z_hat = int(np.argmax(protos @ (pooled / np.linalg.norm(pooled))))
             correct += z_hat == ds.latents[gt.example_id]["z_noun"]
         assert correct / cfg.n_train >= 0.99
@@ -115,7 +115,7 @@ class TestSignalModes:
             cosines = []
             for gt in ds.gt_train:
                 frames, _ = store.read_clip(f"{gt.example_id}#0")
-                pooled = mean_pool(frames).vector
+                pooled = mean_pool(frames.frames)
                 proto = frame_prototype(cfg, ds.latents[gt.example_id]["z_noun"])
                 cosines.append(float(pooled @ proto / np.linalg.norm(pooled)))
             means.append(np.mean(cosines))
