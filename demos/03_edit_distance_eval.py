@@ -9,8 +9,7 @@ a two-example dataset mean.
 
 import numpy as np
 
-from cliplta import PredictionSet, edit_distance, ed_at_zk
-from cliplta.taxonomy import ActionLabel, GroundTruthSequence
+from cliplta import edit_distance, ed_at_zk
 
 print("single edits, all unit cost:")
 for a, b, note in [
@@ -26,28 +25,26 @@ print("'optimal string alignment' shortcut would report 3 and break the")
 print("triangle inequality; this implementation is a true metric.\n")
 
 # --- ED@(Z,K): normalized, min over K candidates ------------------------
+# ed_at_zk scores a batch: candidates (B, K, Z) against ground truth (B, Z),
+# here a batch of one example
 Z = 4
-gt = GroundTruthSequence("example-a", tuple(
-    ActionLabel(v, n) for v, n in zip([0, 1, 2, 7], [3, 3, 1, 0])))
+gt_verb = np.array([[0, 1, 2, 7]])
+gt_noun = np.array([[3, 3, 1, 0]])
 
-pred = PredictionSet(
-    "example-a",
-    verb_seqs=[[0, 1, 2, 3],    # 1 substitution from gt verbs
-               [7, 7, 7, 7]],   # 3 substitutions
-    noun_seqs=[[3, 3, 1, 0],    # exact
-               [0, 0, 0, 0]],
-)
-verb, noun = ed_at_zk(pred, gt)
-print(f"ED@(Z={Z},K=2) for one example: verb={verb} noun={noun}")
+pred_verb = np.array([[[0, 1, 2, 3],    # 1 substitution from gt verbs
+                       [7, 7, 7, 7]]])  # 3 substitutions
+pred_noun = np.array([[[3, 3, 1, 0],    # exact
+                       [0, 0, 0, 0]]])
+verb, noun = ed_at_zk(pred_verb, pred_noun, gt_verb, gt_noun)
+print(f"ED@(Z={Z},K=2) for one example: verb={verb[0]} noun={noun[0]}")
 print("  verb: min(1, 3)/4 = 0.25; noun: a candidate matches exactly -> 0.0\n")
 
 # --- min over K never hurts ---------------------------------------------
 rng = np.random.default_rng(0)
-gt_r = GroundTruthSequence("example-b", tuple(
-    ActionLabel(int(v), int(n)) for v, n in zip(rng.integers(0, 5, Z), rng.integers(0, 5, Z))))
-verbs = rng.integers(0, 5, (5, Z))
-nouns = rng.integers(0, 5, (5, Z))
+gt_verb, gt_noun = rng.integers(0, 5, (1, Z)), rng.integers(0, 5, (1, Z))
+verbs = rng.integers(0, 5, (1, 5, Z))
+nouns = rng.integers(0, 5, (1, 5, Z))
 print("appending candidates is monotone:")
 for k in range(1, 6):
-    v, n = ed_at_zk(PredictionSet("example-b", verbs[:k], nouns[:k]), gt_r)
-    print(f"  K={k}: verb={v:.2f} noun={n:.2f}")
+    v, n = ed_at_zk(verbs[:, :k], nouns[:, :k], gt_verb, gt_noun)
+    print(f"  K={k}: verb={v[0]:.2f} noun={n[0]:.2f}")

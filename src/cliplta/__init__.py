@@ -34,8 +34,6 @@ from .metrics import EvalReport, ed_at_zk, edit_distance, evaluate
 from .model import (
     LtaModel,
     LtaModelConfig,
-    PredictionSet,
-    StepLogits,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,

@@ -30,13 +30,11 @@ import numpy as np
 from .aggregate import img_text_concat, mean_pool
 from .errors import NumericError, ValidationError
 from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
-from .metrics import EvalReport, ed_at_zk, evaluate, read_ground_truth
+from .metrics import EvalReport, check_label_ids, ed_at_zk, evaluate, read_ground_truth
 from .model import (
     DEFAULT_ATTENTION_PROMPT,
     LtaModel,
     LtaModelConfig,
-    PredictionSet,
-    StepLogits,
     batch_loss_and_grads,
     load_checkpoint,
     sample_candidates,
@@ -44,7 +42,7 @@ from .model import (
     variant_spec,
     write_predictions,
 )
-from .taxonomy import CATEGORIES, GroundTruthSequence, Taxonomy, load_taxonomy
+from .taxonomy import CATEGORIES, Taxonomy, load_taxonomy
 
 DEFAULT_PROMPT_TEMPLATE = "a photo of {}"
 
@@ -164,13 +162,14 @@ class Dataset:
         return out
 
 
-def load_dataset(store: FeatureStore, gt_list: list[GroundTruthSequence], n_input_clips: int) -> Dataset:
-    videos, frame_stacks, verb_rows, noun_rows, ids = [], [], [], [], []
+def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarray, noun_ids: np.ndarray,
+                 n_input_clips: int) -> Dataset:
+    videos, frame_stacks = [], []
     n_frames = None
-    for gt in gt_list:
+    for example_id in example_ids:
         clip_frames, clip_videos = [], []
         for t in range(n_input_clips):
-            clip_id = f"{gt.example_id}#{t}"
+            clip_id = f"{example_id}#{t}"
             frames, video = store.read_clip(clip_id)
             if n_frames is None:
                 n_frames = frames.n_frames
@@ -181,17 +180,14 @@ def load_dataset(store: FeatureStore, gt_list: list[GroundTruthSequence], n_inpu
                 )
             clip_frames.append(frames.frames)
             clip_videos.append(video.vector)
-        ids.append(gt.example_id)
         frame_stacks.append(np.stack(clip_frames))
         videos.append(np.stack(clip_videos))
-        verb_rows.append(gt.verb_ids)
-        noun_rows.append(gt.noun_ids)
     return Dataset(
-        example_ids=ids,
+        example_ids=example_ids,
         video=np.stack(videos),
         frames=np.stack(frame_stacks),
-        verb_ids=np.array(verb_rows, dtype=np.int64),
-        noun_ids=np.array(noun_rows, dtype=np.int64),
+        verb_ids=verb_ids,
+        noun_ids=noun_ids,
     )
 
 
@@ -209,26 +205,29 @@ def precompute_descriptors(dataset: Dataset, variant: str,
 
 def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, variant: str,
                tables: dict[str, TextEmbeddingTable] | None,
-               shape: tuple[int, int] | None = None) -> tuple[Dataset, list[GroundTruthSequence]]:
+               shape: tuple[int, int] | None = None) -> Dataset:
     """One split as model input: its checked ground truth and its batched clips.
 
-    The ground truth must reference ``taxonomy``. ``shape`` is the (Z, clips
-    per example) the split must have; without it the split sets its own.
+    The ground truth must reference ``taxonomy`` and hold only its ids.
+    ``shape`` is the (Z, clips per example) the split must have; without it
+    the split sets its own.
     """
-    gt_list, Z, gt_hash = read_ground_truth(gt_path)
+    example_ids, verb_ids, noun_ids, gt_hash = read_ground_truth(gt_path)
     if gt_hash != taxonomy.sha256():
         raise ValidationError(f"ground truth {gt_path}: taxonomy hash does not match the taxonomy file")
-    if not gt_list:
+    if not example_ids:
         raise ValidationError(f"ground truth {gt_path}: 'examples' is empty")
-    n_input_clips = infer_clips_per_example(store, gt_list[0].example_id)
+    check_label_ids(gt_path, example_ids, verb_ids, noun_ids, taxonomy)
+    Z = verb_ids.shape[1]
+    n_input_clips = infer_clips_per_example(store, example_ids[0])
     if shape is not None and (Z, n_input_clips) != shape:
         raise ValidationError(
             f"ground truth {gt_path}: horizon Z={Z} with {n_input_clips} clips per example "
             f"does not match the model's Z={shape[0]} with {shape[1]}"
         )
-    dataset = load_dataset(store, gt_list, n_input_clips)
+    dataset = load_dataset(store, example_ids, verb_ids, noun_ids, n_input_clips)
     precompute_descriptors(dataset, variant, tables)
-    return dataset, gt_list
+    return dataset
 
 
 def _cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -250,14 +249,9 @@ def _sgd_momentum_step(slots: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         p += v
 
 
-def _example_sample_seed(seed: int, example_id: str) -> int:
-    digest = hashlib.blake2b(f"{seed}|{example_id}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def _predict_dataset(model: LtaModel, dataset: Dataset, K: int, temperature: float,
-                     seed: int, batch_size: int = 64) -> list[PredictionSet]:
-    """Candidate sets for every example, predicted ``batch_size`` examples at a time.
+                     seed: int, batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates (verb, noun), each (len(dataset), K, Z), predicted ``batch_size`` examples at a time.
 
     Prediction bytes are a function of ``batch_size``: the linear layers run
     one 2-D GEMM per batch, whose summation order depends on the row count,
@@ -265,30 +259,17 @@ def _predict_dataset(model: LtaModel, dataset: Dataset, K: int, temperature: flo
     with the batch it shares, and a sampled candidate could flip. Every
     caller uses the default of 64, which keeps predictions reproducible.
     """
-    predictions = []
+    # one sampling seed per example, a function of the run seed and the example id alone
+    seeds = [int.from_bytes(hashlib.blake2b(f"{seed}|{eid}".encode(), digest_size=8).digest(), "little")
+             for eid in dataset.example_ids]
+    verb, noun = [], []
     for start in range(0, len(dataset), batch_size):
         idx = np.arange(start, min(start + batch_size, len(dataset)))
-        batch = dataset.batch(idx, model.config)
-        verb_logits, noun_logits, _ = model.forward_batch(batch)
-        for row, b in enumerate(idx):
-            example_id = dataset.example_ids[b]
-            logits = StepLogits(verb_logits=verb_logits[row].astype(np.float64),
-                                noun_logits=noun_logits[row].astype(np.float64))
-            predictions.append(
-                sample_candidates(logits, K, temperature,
-                                  _example_sample_seed(seed, example_id), example_id)
-            )
-    return predictions
-
-
-def _score_in_memory(predictions: list[PredictionSet], gt_list: list[GroundTruthSequence]) -> tuple[float, float]:
-    by_id = {p.example_id: p for p in predictions}
-    verb_scores, noun_scores = [], []
-    for gt in gt_list:
-        v, n = ed_at_zk(by_id[gt.example_id], gt)
-        verb_scores.append(v)
-        noun_scores.append(n)
-    return float(np.mean(verb_scores)), float(np.mean(noun_scores))
+        verb_logits, noun_logits, _ = model.forward_batch(dataset.batch(idx, model.config))
+        v, n = sample_candidates(verb_logits, noun_logits, K, temperature, seeds[start:start + batch_size])
+        verb.append(v)
+        noun.append(n)
+    return np.concatenate(verb), np.concatenate(noun)
 
 
 def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
@@ -300,7 +281,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     taxonomy = load_taxonomy(cfg.taxonomy)
     store = FeatureStore.open(cfg.store)
     tables = _variant_tables(cfg.variant, taxonomy, store.c, cfg.text_seed, cfg.prompt_template)
-    dataset, _ = load_split(store, cfg.gt, taxonomy, cfg.variant, tables)
+    dataset = load_split(store, cfg.gt, taxonomy, cfg.variant, tables)
     Z, n_input_clips = dataset.shape
 
     model_cfg = LtaModelConfig(
@@ -324,9 +305,9 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     )
     model = LtaModel(model_cfg)
 
-    val_dataset, val_gt = None, None
+    val_dataset = None
     if cfg.val_gt:
-        val_dataset, val_gt = load_split(store, cfg.val_gt, taxonomy, cfg.variant, tables, dataset.shape)
+        val_dataset = load_split(store, cfg.val_gt, taxonomy, cfg.variant, tables, dataset.shape)
 
     # the registry hands out the same arrays on every call, so take them once
     params, grads = model.named_parameters(), model.named_grads()
@@ -363,8 +344,9 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
             "wall_time": round(time.time() - epoch_start, 6),
         }
         if val_dataset is not None and cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0:
-            preds = _predict_dataset(model, val_dataset, cfg.K, cfg.temperature, cfg.seed)
-            record["val_verb_ed"], record["val_noun_ed"] = _score_in_memory(preds, val_gt)
+            verb, noun = _predict_dataset(model, val_dataset, cfg.K, cfg.temperature, cfg.seed)
+            verb_ed, noun_ed = ed_at_zk(verb, noun, val_dataset.verb_ids, val_dataset.noun_ids)
+            record["val_verb_ed"], record["val_noun_ed"] = float(np.mean(verb_ed)), float(np.mean(noun_ed))
         log.append(record)
 
     ckpt_dir = out_dir / "checkpoint"
@@ -400,9 +382,9 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     if store.c != cfg.c or store.d_video != cfg.d_video:
         raise ValidationError("store widths do not match the checkpoint")
     tables = _variant_tables(cfg.variant, taxonomy, store.c, cfg.text_seed, cfg.label_template)
-    dataset, _ = load_split(store, gt_path, taxonomy, cfg.variant, tables, (cfg.Z, cfg.n_input_clips))
+    dataset = load_split(store, gt_path, taxonomy, cfg.variant, tables, (cfg.Z, cfg.n_input_clips))
 
-    predictions = _predict_dataset(model, dataset, K, temperature, seed)
+    verb, noun = _predict_dataset(model, dataset, K, temperature, seed)
     if out_dir is None:
         if isinstance(checkpoint, LtaModel):
             raise ValidationError("out_dir is required when evaluating an in-memory model")
@@ -410,7 +392,7 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_file = out_dir / "predictions.json"
-    write_predictions(pred_file, predictions, cfg.Z, K, taxonomy.sha256())
+    write_predictions(pred_file, dataset.example_ids, verb, noun, taxonomy.sha256())
     report = evaluate(pred_file, gt_path, taxonomy)
     with open(out_dir / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)

@@ -11,6 +11,9 @@ on later edits touching a transposed pair. Unlike the cheaper
 "optimal string alignment" shortcut, the unrestricted form is a true metric
 (symmetric, triangle inequality), which the min-over-K protocol implicitly
 assumes.
+
+Scoring works on arrays over the batch: ``ed_at_zk`` takes (B, K, Z)
+candidates and (B, Z) ground truth, as ``read_ground_truth`` returns it.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError, read_json_object, require
-from .model import PredictionSet, read_predictions
-from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy
+from .model import read_predictions
+from .taxonomy import GroundTruthSequence, Taxonomy
 
 
 def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -70,19 +75,39 @@ def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return d[la + 1][lb + 1]
 
 
-def ed_at_zk(pred: PredictionSet, gt: GroundTruthSequence) -> tuple[float, float]:
-    """Per-example (verb, noun) scores: min over candidates of distance / Z."""
-    Z = len(gt.actions)
-    if pred.Z != Z:
-        raise ValidationError(
-            f"prediction horizon {pred.Z} does not match ground truth length {Z} "
-            f"for example {gt.example_id!r}"
-        )
-    gt_verbs = gt.verb_ids
-    gt_nouns = gt.noun_ids
-    verb = min(edit_distance(row.tolist(), gt_verbs) for row in pred.verb_seqs)
-    noun = min(edit_distance(row.tolist(), gt_nouns) for row in pred.noun_seqs)
-    return verb / Z, noun / Z
+def ed_at_zk(pred_verb: np.ndarray, pred_noun: np.ndarray,
+             gt_verb: np.ndarray, gt_noun: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example (verb (B,), noun (B,)) float64 scores: min over K of distance / Z.
+
+    pred_verb/pred_noun: (B, K, Z) candidate ids; gt_verb/gt_noun: (B, Z).
+    """
+    scores = []
+    for pred, gt in ((pred_verb, gt_verb), (pred_noun, gt_noun)):
+        pred, gt = np.asarray(pred), np.asarray(gt)
+        if pred.ndim != 3 or pred.shape[::2] != gt.shape:
+            raise ValidationError(f"candidates {pred.shape} do not match ground truth {gt.shape}: "
+                                  "expected (B, K, Z) and (B, Z) with the same horizon Z")
+        B, K, Z = pred.shape
+        dist = [edit_distance(row, target) for cands, target in zip(pred.tolist(), gt.tolist()) for row in cands]
+        scores.append(np.array(dist, dtype=np.float64).reshape(B, K).min(axis=1) / Z)
+    return scores[0], scores[1]
+
+
+def check_label_ids(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
+                    taxonomy: Taxonomy) -> None:
+    """Raise ValidationError naming the file, example and field of the first id outside ``taxonomy``.
+
+    verb/noun: id arrays whose leading axis runs over ``example_ids``.
+    """
+    for field, ids, n_classes in (("verb", verb, len(taxonomy.verbs)), ("noun", noun, len(taxonomy.nouns))):
+        bad = (ids < 0) | (ids >= n_classes)
+        if bad.any():
+            first = np.argwhere(bad)[0]
+            where = "".join(f"[{i}]" for i in first[1:])
+            raise ValidationError(
+                f"{path}: example {example_ids[first[0]]!r} {field}{where} = {ids[tuple(first)]} "
+                f"is out of range for {n_classes} {field}s"
+            )
 
 
 @dataclass(frozen=True)
@@ -131,42 +156,36 @@ def write_ground_truth(path: str | Path, sequences: list[GroundTruthSequence], Z
         f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def read_ground_truth(path: str | Path) -> tuple[list[GroundTruthSequence], int, str]:
+def read_ground_truth(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:
+    """Returns (example ids in sorted order, verb (N, Z) int64, noun (N, Z) int64, taxonomy_sha256)."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"ground truth file not found: {path}")
     payload = read_json_object(path, "ground truth file")
     if payload.get("version") != 1:
         raise ValidationError(f"unsupported ground truth file version {payload.get('version')!r}")
-    for key in ("Z", "taxonomy_sha256", "examples"):
-        if key not in payload:
-            raise ValidationError(f"ground truth file missing key '{key}'")
-    Z = require(payload["Z"], int, f"ground truth file {path}: 'Z'")
+    what = f"ground truth file {path}"
+    Z = require(payload.get("Z"), int, f"{what}: 'Z'")
     if Z < 1:
-        raise ValidationError(f"ground truth file {path}: 'Z' must be >= 1, got {Z}")
-    examples = payload["examples"]
-    if not isinstance(examples, dict):
-        raise ValidationError(f"ground truth file {path}: 'examples' must be an object of id -> entry")
-    sequences = []
-    for example_id in sorted(examples):
-        entry = examples[example_id]
-        if not isinstance(entry, dict):
-            raise ValidationError(f"ground truth file {path}: example {example_id!r} must be an object")
-        verbs, nouns = entry.get("verb"), entry.get("noun")
-        if not isinstance(verbs, list) or not isinstance(nouns, list):
-            raise ValidationError(f"ground truth for {example_id!r} must hold verb/noun id lists")
-        if len(verbs) != Z or len(nouns) != Z:
-            raise ValidationError(f"ground truth for {example_id!r} does not have length Z={Z}")
-        for field, ids in (("verb", verbs), ("noun", nouns)):
+        raise ValidationError(f"{what}: 'Z' must be >= 1, got {Z}")
+    taxonomy_sha256 = require(payload.get("taxonomy_sha256"), str, f"{what}: 'taxonomy_sha256'")
+    examples = require(payload.get("examples"), dict, f"{what}: 'examples'")
+    example_ids = sorted(examples)
+    rows = {"verb": [], "noun": []}
+    for example_id in example_ids:
+        entry = require(examples[example_id], dict, f"{what}: example {example_id!r}")
+        for field, out in rows.items():
+            ids = entry.get(field)
+            if not (isinstance(ids, list) and len(ids) == Z):
+                raise ValidationError(f"{what}: example {example_id!r} '{field}' must be a list of Z={Z} ids")
             for i, label_id in enumerate(ids):
-                require(label_id, int, f"ground truth file {path}: example {example_id!r} {field}[{i}]")
-        sequences.append(
-            GroundTruthSequence(
-                example_id=example_id,
-                actions=tuple(ActionLabel(v, n) for v, n in zip(verbs, nouns)),
-            )
-        )
-    return sequences, Z, payload["taxonomy_sha256"]
+                require(label_id, int, f"{what}: example {example_id!r} {field}[{i}]")
+            out.append(ids)
+    try:
+        verb, noun = (np.array(rows[field], dtype=np.int64).reshape(len(example_ids), Z) for field in rows)
+    except OverflowError as e:
+        raise ValidationError(f"{what}: 'examples' holds an id outside the int64 range") from e
+    return example_ids, verb, noun, taxonomy_sha256
 
 
 def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> EvalReport:
@@ -174,48 +193,39 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
 
     Fails loudly on any inconsistency (missing example, Z mismatch, taxonomy
     hash mismatch, out-of-range id) instead of scoring a corrupted pairing.
+    Predictions for examples outside the ground truth are ignored.
     """
-    gt_sequences, Z, gt_hash = read_ground_truth(gt_file)
-    predictions, pred_z, K, pred_hash = read_predictions(pred_file)
+    gt_ids, gt_verb, gt_noun, gt_hash = read_ground_truth(gt_file)
+    pred_ids, pred_verb, pred_noun, pred_hash = read_predictions(pred_file)
     tax_hash = taxonomy.sha256()
     if gt_hash != tax_hash:
         raise ValidationError("ground truth taxonomy hash does not match the provided taxonomy")
     if pred_hash != tax_hash:
         raise ValidationError("prediction taxonomy hash does not match the provided taxonomy")
+    n_examples, Z = gt_verb.shape
+    _, K, pred_z = pred_verb.shape
     if pred_z != Z:
         raise ValidationError(f"prediction horizon Z={pred_z} does not match ground truth Z={Z}")
-
-    n_verbs, n_nouns = len(taxonomy.verbs), len(taxonomy.nouns)
-    per_example = []
-    for gt in gt_sequences:
-        for a in gt.actions:
-            if not (0 <= a.verb_id < n_verbs and 0 <= a.noun_id < n_nouns):
-                raise ValidationError(f"ground truth id out of range in example {gt.example_id!r}")
-        entry = predictions.get(gt.example_id)
-        if entry is None:
-            raise ValidationError(f"prediction file is missing example {gt.example_id!r}")
-        pred = PredictionSet(
-            example_id=gt.example_id,
-            verb_seqs=entry["verb"],
-            noun_seqs=entry["noun"],
-        )
-        if pred.K != K or pred.Z != Z:
-            raise ValidationError(f"prediction for {gt.example_id!r} does not have shape (K={K}, Z={Z})")
-        if pred.verb_seqs.min() < 0 or pred.verb_seqs.max() >= n_verbs:
-            raise ValidationError(f"verb id out of range in prediction for {gt.example_id!r}")
-        if pred.noun_seqs.min() < 0 or pred.noun_seqs.max() >= n_nouns:
-            raise ValidationError(f"noun id out of range in prediction for {gt.example_id!r}")
-        v, n = ed_at_zk(pred, gt)
-        per_example.append((gt.example_id, v, n))
-
-    n_examples = len(per_example)
     if n_examples == 0:
         raise ValidationError("ground truth file contains no examples")
+    check_label_ids(gt_file, gt_ids, gt_verb, gt_noun, taxonomy)
+
+    row_of = dict(zip(pred_ids, range(len(pred_ids))))
+    missing = set(gt_ids).difference(row_of)
+    if missing:
+        raise ValidationError(f"prediction file is missing example {min(missing)!r}")
+    rows = np.fromiter(map(row_of.get, gt_ids), dtype=np.int64, count=n_examples)
+    pred_verb, pred_noun = pred_verb[rows], pred_noun[rows]
+    check_label_ids(pred_file, gt_ids, pred_verb, pred_noun, taxonomy)
+
+    verb, noun = ed_at_zk(pred_verb, pred_noun, gt_verb, gt_noun)
+    verb, noun = verb.tolist(), noun.tolist()
     return EvalReport(
-        verb_ed=sum(v for _, v, _ in per_example) / n_examples,
-        noun_ed=sum(n for _, _, n in per_example) / n_examples,
+        # a left-to-right sum of Python floats; np.mean's pairwise sum can differ in the last bit
+        verb_ed=sum(verb) / n_examples,
+        noun_ed=sum(noun) / n_examples,
         n_examples=n_examples,
-        per_example=per_example,
+        per_example=list(zip(gt_ids, verb, noun)),
         Z=Z,
         K=K,
     )

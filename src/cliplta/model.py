@@ -18,7 +18,8 @@ definition: every site that depends on the variant reads it there.
                             end-to-end through the aggregator
 
 All forward/backward passes are deterministic functions of (parameters,
-inputs); sampling takes an explicit seed.
+inputs). Candidate sampling and the prediction file work on (B, K, Z)
+arrays; sampling takes one explicit seed per example.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .aggregate import cross_attention_backward, cross_attention_forward, init_cross_attention
-from .errors import ValidationError, read_json_object
+from .errors import NumericError, ValidationError, read_json_object, require
 from .featurestore import stub_embed
 
 
@@ -122,52 +123,6 @@ class LtaModelConfig:
     @property
     def attn_width(self) -> int:
         return self.d_attn if self.d_attn > 0 else self.c
-
-
-@dataclass(frozen=True)
-class StepLogits:
-    verb_logits: np.ndarray
-    noun_logits: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.verb_logits)
-        n = np.asarray(self.noun_logits)
-        if v.ndim != 2 or n.ndim != 2 or v.shape[0] != n.shape[0]:
-            raise ValidationError("step logits must be (Z, n_verbs) and (Z, n_nouns) matrices")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(n))):
-            raise ValidationError("step logits contain non-finite values")
-        object.__setattr__(self, "verb_logits", v)
-        object.__setattr__(self, "noun_logits", n)
-
-    @property
-    def Z(self) -> int:
-        return self.verb_logits.shape[0]
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    example_id: str
-    verb_seqs: np.ndarray   # (K, Z) ints
-    noun_seqs: np.ndarray
-
-    def __post_init__(self):
-        try:
-            v = np.asarray(self.verb_seqs, dtype=np.int64)
-            n = np.asarray(self.noun_seqs, dtype=np.int64)
-        except (ValueError, TypeError) as e:
-            raise ValidationError(f"prediction sequences are not rectangular integer lists: {e}") from e
-        if v.ndim != 2 or v.shape != n.shape:
-            raise ValidationError("prediction sets must be matching (K, Z) integer matrices")
-        object.__setattr__(self, "verb_seqs", v)
-        object.__setattr__(self, "noun_seqs", n)
-
-    @property
-    def K(self) -> int:
-        return self.verb_seqs.shape[0]
-
-    @property
-    def Z(self) -> int:
-        return self.verb_seqs.shape[1]
 
 
 class LtaModel(nn.Module):
@@ -339,36 +294,41 @@ def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,
     return loss, d_v * scale, d_n * scale
 
 
-def sample_candidates(logits: StepLogits, K: int, temperature: float, seed: int,
-                      example_id: str = "") -> PredictionSet:
-    """K candidate sequences: per-step argmax first, then seeded samples.
+def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, temperature: float,
+                      seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates verb, noun (B, K, Z) int64 from (B, Z, classes) logits: argmax, then samples.
 
-    Candidate 0 is deterministic greedy decoding. Candidates 1..K-1 draw each
-    step independently from softmax(logits / temperature) using a fresh
-    generator seeded with ``seed`` (verbs for all steps, then nouns, per
-    candidate), so the whole set is reproducible from the arguments alone.
+    Example b draws ``default_rng(seeds[b]).random((K-1, 2, Z))``: per
+    candidate, Z verb then Z noun uniforms. A step's id is the number of
+    entries of its normalized float64 CDF of softmax(logits / temperature)
+    that are <= its uniform, the id ``Generator.choice(p=...)`` gives.
     """
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     if not temperature > 0:
         raise ValidationError(f"temperature must be > 0, got {temperature}")
-    verb = np.asarray(logits.verb_logits, dtype=np.float64)
-    noun = np.asarray(logits.noun_logits, dtype=np.float64)
-    Z = verb.shape[0]
-    verb_rows = [np.argmax(verb, axis=1)]
-    noun_rows = [np.argmax(noun, axis=1)]
+    verb = np.asarray(verb_logits, dtype=np.float64)
+    noun = np.asarray(noun_logits, dtype=np.float64)
+    if verb.ndim != 3 or noun.ndim != 3 or verb.shape[:2] != noun.shape[:2] or len(seeds) != len(verb):
+        raise ValidationError(
+            f"step logits must be (B, Z, n_verbs) and (B, Z, n_nouns) with B seeds; "
+            f"got {verb.shape}, {noun.shape} and {len(seeds)} seeds"
+        )
+    if not (np.isfinite(verb).all() and np.isfinite(noun).all()):
+        raise NumericError("step logits contain non-finite values")
+    B, Z, _ = verb.shape
     if K > 1:
-        rng = np.random.default_rng(seed)
-        p_verb = nn.softmax(verb / temperature)
-        p_noun = nn.softmax(noun / temperature)
-        for _ in range(1, K):
-            verb_rows.append(np.array([rng.choice(p_verb.shape[1], p=p_verb[z]) for z in range(Z)]))
-            noun_rows.append(np.array([rng.choice(p_noun.shape[1], p=p_noun[z]) for z in range(Z)]))
-    return PredictionSet(
-        example_id=example_id,
-        verb_seqs=np.stack(verb_rows),
-        noun_seqs=np.stack(noun_rows),
-    )
+        uniforms = np.stack([np.random.default_rng(seed).random((K - 1, 2, Z)) for seed in seeds])
+    out = []
+    for kind, logits in enumerate((verb, noun)):
+        ids = np.empty((B, K, Z), dtype=np.int64)
+        ids[:, 0] = logits.argmax(axis=-1)
+        if K > 1:
+            cdf = np.cumsum(nn.softmax(logits / temperature), axis=-1)
+            cdf /= cdf[..., -1:]
+            ids[:, 1:] = (cdf[:, None] <= uniforms[:, :, kind, :, None]).sum(axis=-1)
+        out.append(ids)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +390,26 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
     return model
 
 
-def write_predictions(path: str | Path, predictions: list[PredictionSet], Z: int, K: int,
+def write_predictions(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
                       taxonomy_sha256: str) -> None:
-    for pred in predictions:
-        if pred.Z != Z or pred.K != K:
-            raise ValidationError(
-                f"prediction for {pred.example_id!r} has shape (K={pred.K}, Z={pred.Z}); expected ({K}, {Z})"
-            )
+    """Write candidates verb/noun (P, K, Z) of examples ``example_ids``; K and Z come from the shape."""
+    verb = np.asarray(verb, dtype=np.int64)
+    noun = np.asarray(noun, dtype=np.int64)
+    if verb.ndim != 3 or verb.shape != noun.shape or len(example_ids) != len(verb):
+        raise ValidationError(
+            f"predictions must be matching (P, K, Z) id arrays for P={len(example_ids)} examples; "
+            f"got {verb.shape} and {noun.shape}"
+        )
+    _, K, Z = verb.shape
     payload = {
         "version": 1,
         "Z": Z,
         "K": K,
         "taxonomy_sha256": taxonomy_sha256,
+        # sort_keys orders the examples by id
         "predictions": {
-            p.example_id: {"verb": p.verb_seqs.tolist(), "noun": p.noun_seqs.tolist()}
-            for p in sorted(predictions, key=lambda p: p.example_id)
+            example_id: {"verb": v, "noun": n}
+            for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())
         },
     }
     path = Path(path)
@@ -454,15 +419,41 @@ def write_predictions(path: str | Path, predictions: list[PredictionSet], Z: int
         f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def read_predictions(path: str | Path) -> tuple[dict, int, int, str]:
-    """Returns (predictions dict, Z, K, taxonomy_sha256)."""
+def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:
+    """Returns (example ids in sorted order, verb (P, K, Z) int64, noun (P, K, Z) int64, taxonomy_sha256).
+
+    Every field is checked; a malformed file raises ValidationError naming
+    the file, the example and the field.
+    """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"prediction file not found: {path}")
     payload = read_json_object(path, "prediction file")
     if payload.get("version") != 1:
         raise ValidationError(f"unsupported prediction file version {payload.get('version')!r}")
-    for key in ("Z", "K", "taxonomy_sha256", "predictions"):
-        if key not in payload:
-            raise ValidationError(f"prediction file missing key '{key}'")
-    return payload["predictions"], int(payload["Z"]), int(payload["K"]), payload["taxonomy_sha256"]
+    what = f"prediction file {path}"
+    Z = require(payload.get("Z"), int, f"{what}: 'Z'")
+    K = require(payload.get("K"), int, f"{what}: 'K'")
+    if Z < 1 or K < 1:
+        raise ValidationError(f"{what}: 'Z' and 'K' must be >= 1, got Z={Z}, K={K}")
+    taxonomy_sha256 = require(payload.get("taxonomy_sha256"), str, f"{what}: 'taxonomy_sha256'")
+    predictions = require(payload.get("predictions"), dict, f"{what}: 'predictions'")
+    example_ids = sorted(predictions)
+    rows = {"verb": [], "noun": []}
+    for example_id in example_ids:
+        entry = require(predictions[example_id], dict, f"{what}: example {example_id!r}")
+        for field, out in rows.items():
+            seqs = entry.get(field)
+            # type(...) is int: JSON integers, not bools
+            if not (isinstance(seqs, list) and len(seqs) == K and all(
+                    isinstance(seq, list) and len(seq) == Z and all(type(i) is int for i in seq)
+                    for seq in seqs)):
+                raise ValidationError(
+                    f"{what}: example {example_id!r} '{field}' must be K={K} lists of Z={Z} integers"
+                )
+            out.append(seqs)
+    try:
+        verb, noun = (np.array(rows[field], dtype=np.int64).reshape(len(example_ids), K, Z) for field in rows)
+    except OverflowError as e:
+        raise ValidationError(f"{what}: 'predictions' holds an id outside the int64 range") from e
+    return example_ids, verb, noun, taxonomy_sha256

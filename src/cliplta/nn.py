@@ -236,7 +236,8 @@ def cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    onehot = np.eye(C, dtype=logits.dtype)[targets]
-    nll = -(logp * onehot).sum(axis=-1)
-    d_logits = np.exp(logp) - onehot
+    picked = (*np.indices(targets.shape, sparse=True), targets)   # each target's logit, once
+    nll = -logp[picked]
+    d_logits = np.exp(logp)
+    d_logits[picked] -= 1
     return nll, d_logits

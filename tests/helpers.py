@@ -1,8 +1,9 @@
-"""Shared test utilities: the brute-force edit oracle, gradient checking, and
-single-clip attention."""
+"""Shared test utilities: the brute-force edit oracle, gradient checking,
+single-clip attention, and the one-example reference sampler."""
 
 import numpy as np
 
+from cliplta import nn
 from cliplta.aggregate import cross_attention_forward
 
 
@@ -97,3 +98,25 @@ def finite_difference(loss_fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray
         flat[i] = orig
         gflat[i] = (up - down) / (2 * h)
     return grad
+
+
+def reference_sample_candidates(verb_logits, noun_logits, K: int, temperature: float, seed: int):
+    """One example's (verb (K, Z), noun (K, Z)) candidates, one ``rng.choice`` per step.
+
+    Argmax, then per candidate Z verb draws and Z noun draws from a generator
+    seeded with ``seed``: the per-step form whose ids the batched
+    ``sample_candidates`` must give exactly.
+    """
+    verb = np.asarray(verb_logits, dtype=np.float64)
+    noun = np.asarray(noun_logits, dtype=np.float64)
+    Z = verb.shape[0]
+    verb_rows = [np.argmax(verb, axis=1)]
+    noun_rows = [np.argmax(noun, axis=1)]
+    if K > 1:
+        rng = np.random.default_rng(seed)
+        p_verb = nn.softmax(verb / temperature)
+        p_noun = nn.softmax(noun / temperature)
+        for _ in range(1, K):
+            verb_rows.append(np.array([rng.choice(p_verb.shape[1], p=p_verb[z]) for z in range(Z)]))
+            noun_rows.append(np.array([rng.choice(p_noun.shape[1], p=p_noun[z]) for z in range(Z)]))
+    return np.stack(verb_rows), np.stack(noun_rows)

@@ -17,7 +17,6 @@ from cliplta import (
     FeatureStore,
     FrameEmbeddingSequence,
     LtaModel,
-    PredictionSet,
     SynthConfig,
     TrainConfig,
     VideoDescriptor,
@@ -40,7 +39,6 @@ from cliplta.aggregate import (
     probe_record,
 )
 from cliplta.model import LtaModelConfig, batch_loss_and_grads
-from cliplta.taxonomy import ActionLabel, GroundTruthSequence
 from helpers import attend, brute_force_edit_distance, finite_difference, max_rel_err
 
 RNG = lambda seed: np.random.default_rng(seed)
@@ -71,33 +69,31 @@ class TestEditDistanceOracle:
 
 class TestMetricProtocol:
     def test_worked_examples_and_monotonicity(self):
-        gt = GroundTruthSequence(
-            "e", tuple(ActionLabel(v, n) for v, n in zip([0, 1, 2, 9], [0, 1, 2, 9])))
-        exact = PredictionSet("e", [[0, 1, 2, 9]], [[0, 1, 2, 9]])
-        assert ed_at_zk(exact, gt) == (0.0, 0.0)
+        def score(pred_verbs, pred_nouns, gt_verbs, gt_nouns):
+            verb, noun = ed_at_zk(np.array([pred_verbs]), np.array([pred_nouns]),
+                                  np.array([gt_verbs]), np.array([gt_nouns]))
+            return float(verb[0]), float(noun[0])
 
-        gt_plain = GroundTruthSequence(
-            "e", tuple(ActionLabel(v, n) for v, n in zip([0, 1, 2, 3], [0, 1, 2, 3])))
-        disjoint = PredictionSet("e", [[9, 8, 7, 6]], [[9, 8, 7, 6]])
-        assert ed_at_zk(disjoint, gt_plain) == (1.0, 1.0)
+        gt = ([0, 1, 2, 9], [0, 1, 2, 9])
+        assert score([[0, 1, 2, 9]], [[0, 1, 2, 9]], *gt) == (0.0, 0.0)
 
-        two = PredictionSet("e", [[0, 1, 2, 3], [9, 9, 9, 9]], [[0, 1, 2, 3], [9, 9, 9, 9]])
-        assert ed_at_zk(two, gt) == (0.25, 0.25)
+        gt_plain = ([0, 1, 2, 3], [0, 1, 2, 3])
+        assert score([[9, 8, 7, 6]], [[9, 8, 7, 6]], *gt_plain) == (1.0, 1.0)
+
+        assert score([[0, 1, 2, 3], [9, 9, 9, 9]], [[0, 1, 2, 3], [9, 9, 9, 9]], *gt) == (0.25, 0.25)
 
         rng = RNG(7)
         for _ in range(200):
             Z = int(rng.integers(2, 10))
-            gt_r = GroundTruthSequence("r", tuple(
-                ActionLabel(int(v), int(n))
-                for v, n in zip(rng.integers(0, 6, Z), rng.integers(0, 6, Z))))
+            gt_r = rng.integers(0, 6, Z), rng.integers(0, 6, Z)
             verbs = rng.integers(0, 6, (5, Z))
             nouns = rng.integers(0, 6, (5, Z))
             prev = (1.0, 1.0)
             for k in range(1, 6):
-                score = ed_at_zk(PredictionSet("r", verbs[:k], nouns[:k]), gt_r)
-                assert 0.0 <= score[0] <= 1.0 and 0.0 <= score[1] <= 1.0
-                assert score[0] <= prev[0] and score[1] <= prev[1]
-                prev = score
+                scores = score(verbs[:k], nouns[:k], *gt_r)
+                assert 0.0 <= scores[0] <= 1.0 and 0.0 <= scores[1] <= 1.0
+                assert scores[0] <= prev[0] and scores[1] <= prev[1]
+                prev = scores
         _passed("metric-protocol")
 
 

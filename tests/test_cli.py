@@ -151,6 +151,43 @@ class TestExitCodes:
             "--clip", "train_00000#0",
         ]) == 3
 
+    def test_out_of_range_ground_truth_id_is_2_before_training(self, workspace, tmp_path, capsys):
+        gt = tmp_path / "gt_train.json"
+        payload = json.loads((workspace / "data" / "gt_train.json").read_text(encoding="utf-8"))
+        last = max(payload["examples"])
+        payload["examples"][last]["verb"][-1] = 99
+        gt.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([
+            "train", "--variant", "img_plus_clip",
+            "--store", str(workspace / "data" / "store"), "--gt", str(gt),
+            "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+            "--out-dir", str(tmp_path / "r"), "--epochs", "2", "--batch-size", "4",
+            "--n-layers", "1", "--n-heads-agg", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(gt) in err and repr(last) in err and "verb[2] = 99" in err, err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_checkpoint_is_numeric_error_and_3(self, workspace, tmp_path, capsys):
+        import shutil
+
+        import numpy as np
+
+        from cliplta import NumericError, run_eval
+
+        ckpt = shutil.copytree(workspace / "run" / "checkpoint", tmp_path / "checkpoint")
+        blob = ckpt / "verb_head.W.bin"
+        weights = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+        weights[0] = np.nan
+        blob.write_bytes(weights.tobytes())
+        data = workspace / "data"
+        paths = (str(data / "store"), str(data / "gt_val.json"), str(data / "taxonomy.json"))
+        with pytest.raises(NumericError, match="non-finite"):
+            run_eval(ckpt, *paths, out_dir=tmp_path / "e")
+        assert main(["eval", "--checkpoint", str(ckpt), "--store", paths[0], "--gt", paths[1],
+                     "--taxonomy", paths[2], "--out-dir", str(tmp_path / "e")]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_truncated_ground_truth_is_2_and_named(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_val.json"
         gt.write_bytes((workspace / "data" / "gt_val.json").read_bytes()[:-20])

@@ -29,6 +29,12 @@ def synth(tmp_path_factory):
     return generate(cfg, root)
 
 
+def gt_sequences(example_ids, verb, noun):
+    """Ground-truth sequences from (N, Z) id arrays, for write_ground_truth."""
+    return [GroundTruthSequence(eid, tuple(ActionLabel(int(v), int(n)) for v, n in zip(vs, ns)))
+            for eid, vs, ns in zip(example_ids, verb, noun)]
+
+
 def train_config(ds, out_dir, **kw):
     defaults = dict(
         variant="img_plus_clip", store=str(ds.store_path), gt=str(ds.gt_train_path),
@@ -102,8 +108,8 @@ class TestTrain:
         assert len(calls) == 8 * tables_built
 
     def test_val_split_with_other_horizon_rejected(self, synth, tmp_path):
-        gt_list, _, gt_hash = read_ground_truth(synth.gt_val_path)
-        short = [GroundTruthSequence(g.example_id, g.actions[:2]) for g in gt_list]
+        example_ids, verb, noun, gt_hash = read_ground_truth(synth.gt_val_path)
+        short = gt_sequences(example_ids, verb[:, :2], noun[:, :2])
         write_ground_truth(tmp_path / "gt_short.json", short, 2, gt_hash)
         with pytest.raises(ValidationError, match="horizon Z=2"):
             train(train_config(synth, tmp_path / "r", val_gt=str(tmp_path / "gt_short.json")))
@@ -166,15 +172,10 @@ class TestRunEval:
         model = load_checkpoint(trained)
         taxonomy = load_taxonomy(synth.taxonomy_path)
         store = FeatureStore.open(synth.store_path)
-        dataset, _ = load_split(store, synth.gt_val_path, taxonomy, model.config.variant, None)
+        dataset = load_split(store, synth.gt_val_path, taxonomy, model.config.variant, None)
         Z = model.config.Z
-        preds = _predict_dataset(model, dataset, K=1, temperature=1.0, seed=0)
-        argmax_gt = [
-            GroundTruthSequence(p.example_id, tuple(
-                ActionLabel(int(v), int(n))
-                for v, n in zip(p.verb_seqs[0], p.noun_seqs[0])))
-            for p in preds
-        ]
+        verb, noun = _predict_dataset(model, dataset, K=1, temperature=1.0, seed=0)
+        argmax_gt = gt_sequences(dataset.example_ids, verb[:, 0], noun[:, 0])
         gt_file = tmp_path / "argmax_gt.json"
         write_ground_truth(gt_file, argmax_gt, Z, taxonomy.sha256())
         _, report = run_eval(trained, synth.store_path, gt_file, synth.taxonomy_path,

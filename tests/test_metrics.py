@@ -1,15 +1,15 @@
+import numpy as np
 import pytest
 
 from cliplta import (
     GroundTruthSequence,
-    PredictionSet,
     ValidationError,
     ed_at_zk,
     edit_distance,
     evaluate,
 )
 from cliplta.metrics import write_ground_truth
-from cliplta.model import write_predictions
+from cliplta.model import read_predictions, write_predictions
 from cliplta.taxonomy import ActionLabel
 from helpers import brute_force_edit_distance
 
@@ -58,49 +58,49 @@ def gt_of(example_id, verbs, nouns):
                                tuple(ActionLabel(v, n) for v, n in zip(verbs, nouns)))
 
 
+def score_one(pred_verbs, pred_nouns, gt_verbs, gt_nouns):
+    """ED@(Z,K) of one example through the batched scorer, as Python floats."""
+    verb, noun = ed_at_zk(np.array([pred_verbs]), np.array([pred_nouns]),
+                          np.array([gt_verbs]), np.array([gt_nouns]))
+    return float(verb[0]), float(noun[0])
+
+
 class TestEdAtZK:
     def test_exact_candidate_scores_zero(self):
-        gt = gt_of("e", [0, 1, 2, 3], [3, 2, 1, 0])
-        pred = PredictionSet("e", [[0, 1, 2, 3], [5, 5, 5, 5]], [[3, 2, 1, 0], [5, 5, 5, 5]])
-        assert ed_at_zk(pred, gt) == (0.0, 0.0)
+        assert score_one([[0, 1, 2, 3], [5, 5, 5, 5]], [[3, 2, 1, 0], [5, 5, 5, 5]],
+                         [0, 1, 2, 3], [3, 2, 1, 0]) == (0.0, 0.0)
 
     def test_all_substitutions_score_one(self):
-        gt = gt_of("e", [0, 1, 2, 3], [0, 1, 2, 3])
-        pred = PredictionSet("e", [[9, 8, 7, 6]], [[9, 8, 7, 6]])
-        assert ed_at_zk(pred, gt) == (1.0, 1.0)
+        assert score_one([[9, 8, 7, 6]], [[9, 8, 7, 6]], [0, 1, 2, 3], [0, 1, 2, 3]) == (1.0, 1.0)
 
     def test_min_over_candidates(self):
-        gt = gt_of("e", [0, 1, 2, 9], [0, 1, 2, 9])
-        pred = PredictionSet("e", [[0, 1, 2, 3], [9, 9, 9, 9]], [[0, 1, 2, 3], [9, 9, 9, 9]])
-        verb, noun = ed_at_zk(pred, gt)
+        verb, noun = score_one([[0, 1, 2, 3], [9, 9, 9, 9]], [[0, 1, 2, 3], [9, 9, 9, 9]],
+                               [0, 1, 2, 9], [0, 1, 2, 9])
         assert verb == 0.25 and noun == 0.25
 
     def test_length_mismatch_rejected(self):
-        gt = gt_of("e", [0, 1], [0, 1])
-        pred = PredictionSet("e", [[0, 1, 2]], [[0, 1, 2]])
         with pytest.raises(ValidationError, match="horizon"):
-            ed_at_zk(pred, gt)
+            score_one([[0, 1, 2]], [[0, 1, 2]], [0, 1], [0, 1])
 
     def test_monotone_in_k(self, rng):
         for _ in range(100):
             Z = int(rng.integers(2, 8))
-            gt = gt_of("e", [int(x) for x in rng.integers(0, 5, Z)],
-                       [int(x) for x in rng.integers(0, 5, Z)])
+            gt_verbs = [int(x) for x in rng.integers(0, 5, Z)]
+            gt_nouns = [int(x) for x in rng.integers(0, 5, Z)]
             verbs = rng.integers(0, 5, (4, Z))
             nouns = rng.integers(0, 5, (4, Z))
             prev_v = prev_n = 1.0
             for k in range(1, 5):
-                v, n = ed_at_zk(PredictionSet("e", verbs[:k], nouns[:k]), gt)
+                v, n = score_one(verbs[:k], nouns[:k], gt_verbs, gt_nouns)
                 assert v <= prev_v + 1e-12 and n <= prev_n + 1e-12
                 prev_v, prev_n = v, n
 
     def test_scores_bounded(self, rng):
         for _ in range(100):
             Z = int(rng.integers(1, 9))
-            gt = gt_of("e", [int(x) for x in rng.integers(0, 9, Z)],
-                       [int(x) for x in rng.integers(0, 9, Z)])
-            pred = PredictionSet("e", rng.integers(0, 9, (3, Z)), rng.integers(0, 9, (3, Z)))
-            v, n = ed_at_zk(pred, gt)
+            gt_verbs = [int(x) for x in rng.integers(0, 9, Z)]
+            gt_nouns = [int(x) for x in rng.integers(0, 9, Z)]
+            v, n = score_one(rng.integers(0, 9, (3, Z)), rng.integers(0, 9, (3, Z)), gt_verbs, gt_nouns)
             assert 0.0 <= v <= 1.0 and 0.0 <= n <= 1.0
 
 
@@ -108,14 +108,15 @@ class TestEdAtZK:
 def eval_setup(tmp_path, small_taxonomy):
     """Two-example gt/pred file pair builder."""
 
-    def build(pred_rows, gt_rows, Z=2, K=2, tamper_hash=False):
+    def build(pred_rows, gt_rows, Z=2, tamper_hash=False):
         tax_hash = small_taxonomy.sha256()
         gt_file = tmp_path / "gt.json"
         sequences = [gt_of(eid, verbs, nouns) for eid, verbs, nouns in gt_rows]
         write_ground_truth(gt_file, sequences, Z, tax_hash)
         pred_file = tmp_path / "pred.json"
-        preds = [PredictionSet(eid, verbs, nouns) for eid, verbs, nouns in pred_rows]
-        write_predictions(pred_file, preds, Z, K,
+        write_predictions(pred_file, [eid for eid, _, _ in pred_rows],
+                          np.array([verbs for _, verbs, _ in pred_rows]),
+                          np.array([nouns for _, _, nouns in pred_rows]),
                           "0" * 64 if tamper_hash else tax_hash)
         return pred_file, gt_file
 
@@ -169,7 +170,7 @@ class TestEvaluate:
         gt_file = tmp_path / "gt3.json"
         write_ground_truth(gt_file, [gt_of("a", [0, 1, 2], [0, 1, 2])], 3, tax_hash)
         pred_file = tmp_path / "pred2.json"
-        write_predictions(pred_file, [PredictionSet("a", [[0, 1]], [[0, 1]])], 2, 1, tax_hash)
+        write_predictions(pred_file, ["a"], np.array([[[0, 1]]]), np.array([[[0, 1]]]), tax_hash)
         with pytest.raises(ValidationError, match="Z"):
             evaluate(pred_file, gt_file, small_taxonomy)
 
@@ -184,3 +185,47 @@ class TestEvaluate:
         pred_file.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError, match="K"):
             evaluate(pred_file, gt_file, small_taxonomy)
+
+
+# case -> (edit to the prediction file's JSON, text the error message must hold)
+MALFORMED_PREDICTIONS = {
+    "z_string": (lambda p: p.update(Z="x"), "'Z'"),
+    "k_bool": (lambda p: p.update(K=True), "'K'"),
+    "verb_id_float": (lambda p: p["predictions"]["a"]["verb"][1].__setitem__(0, 1.5), "'a' 'verb'"),
+    "noun_id_bool": (lambda p: p["predictions"]["b"]["noun"][0].__setitem__(2, True), "'b' 'noun'"),
+    "ragged_rows": (lambda p: p["predictions"]["b"]["noun"][0].append(0), "'b' 'noun'"),
+    "entry_not_object": (lambda p: p["predictions"].update(b=[1]), "'b'"),
+    "predictions_not_object": (lambda p: p.update(predictions=[]), "'predictions'"),
+}
+
+
+class TestReadPredictions:
+    def test_round_trip(self, tmp_path):
+        verb = np.arange(12).reshape(2, 3, 2)
+        write_predictions(tmp_path / "p.json", ["b", "a"], verb, verb + 1, "f" * 64)
+        ids, read_verb, read_noun, tax_hash = read_predictions(tmp_path / "p.json")
+        assert ids == ["a", "b"] and tax_hash == "f" * 64
+        assert read_verb.dtype == read_noun.dtype == np.int64
+        np.testing.assert_array_equal(read_verb, verb[::-1])
+        np.testing.assert_array_equal(read_noun, verb[::-1] + 1)
+
+    @pytest.mark.parametrize("case", MALFORMED_PREDICTIONS)
+    def test_malformed_file_is_validation_error_naming_it(self, tmp_path, case):
+        import json
+
+        change, field = MALFORMED_PREDICTIONS[case]
+        pred_file = tmp_path / "pred.json"
+        write_predictions(pred_file, ["a", "b"], np.zeros((2, 2, 3), np.int64), np.ones((2, 2, 3), np.int64),
+                          "f" * 64)
+        payload = json.loads(pred_file.read_text(encoding="utf-8"))
+        change(payload)
+        pred_file.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_predictions(pred_file)
+        assert str(pred_file) in str(info.value) and field in str(info.value), info.value
+
+    def test_writer_rejects_mismatched_shapes(self, tmp_path):
+        with pytest.raises(ValidationError, match="matching"):
+            write_predictions(tmp_path / "p.json", ["a"], np.zeros((1, 2, 3)), np.zeros((1, 2, 2)), "f" * 64)
+        with pytest.raises(ValidationError, match="matching"):
+            write_predictions(tmp_path / "p.json", ["a", "b"], np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), "f" * 64)

@@ -7,7 +7,7 @@ import pytest
 from cliplta import (
     LtaModel,
     LtaModelConfig,
-    StepLogits,
+    NumericError,
     ValidationError,
     load_checkpoint,
     sample_candidates,
@@ -236,42 +236,51 @@ class TestLoss:
 
 class TestSampleCandidates:
     def test_k1_is_argmax(self, rng):
-        logits = StepLogits(verb_logits=rng.standard_normal((4, 6)),
-                            noun_logits=rng.standard_normal((4, 5)))
-        pred = sample_candidates(logits, K=1, temperature=1.0, seed=0)
-        np.testing.assert_array_equal(pred.verb_seqs[0], np.argmax(logits.verb_logits, axis=1))
-        np.testing.assert_array_equal(pred.noun_seqs[0], np.argmax(logits.noun_logits, axis=1))
+        verb, noun = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 4, 5))
+        pred_verb, pred_noun = sample_candidates(verb, noun, K=1, temperature=1.0, seeds=[0])
+        np.testing.assert_array_equal(pred_verb[:, 0], np.argmax(verb, axis=-1))
+        np.testing.assert_array_equal(pred_noun[:, 0], np.argmax(noun, axis=-1))
 
     def test_degenerate_softmax_collapses(self):
-        verb = np.zeros((3, 4))
-        noun = np.zeros((3, 4))
-        verb[:, 2] = 1e9
-        noun[:, 1] = 1e9
-        pred = sample_candidates(StepLogits(verb_logits=verb, noun_logits=noun),
-                                 K=5, temperature=1.0, seed=123)
-        assert np.all(pred.verb_seqs == 2)
-        assert np.all(pred.noun_seqs == 1)
+        verb = np.zeros((1, 3, 4))
+        noun = np.zeros((1, 3, 4))
+        verb[..., 2] = 1e9
+        noun[..., 1] = 1e9
+        pred_verb, pred_noun = sample_candidates(verb, noun, K=5, temperature=1.0, seeds=[123])
+        assert np.all(pred_verb == 2)
+        assert np.all(pred_noun == 1)
 
     def test_seeded_reproducibility(self, rng):
-        logits = StepLogits(verb_logits=rng.standard_normal((4, 6)),
-                            noun_logits=rng.standard_normal((4, 5)))
-        p1 = sample_candidates(logits, K=4, temperature=0.7, seed=99)
-        p2 = sample_candidates(logits, K=4, temperature=0.7, seed=99)
-        np.testing.assert_array_equal(p1.verb_seqs, p2.verb_seqs)
-        np.testing.assert_array_equal(p1.noun_seqs, p2.noun_seqs)
+        verb, noun = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 4, 5))
+        p1 = sample_candidates(verb, noun, K=4, temperature=0.7, seeds=[99])
+        p2 = sample_candidates(verb, noun, K=4, temperature=0.7, seeds=[99])
+        np.testing.assert_array_equal(p1[0], p2[0])
+        np.testing.assert_array_equal(p1[1], p2[1])
 
     def test_ids_always_in_range(self, rng):
         for _ in range(20):
-            logits = StepLogits(verb_logits=rng.standard_normal((5, 3)) * 50,
-                                noun_logits=rng.standard_normal((5, 7)) * 50)
-            pred = sample_candidates(logits, K=5, temperature=2.0, seed=int(rng.integers(1 << 31)))
-            assert pred.verb_seqs.min() >= 0 and pred.verb_seqs.max() < 3
-            assert pred.noun_seqs.min() >= 0 and pred.noun_seqs.max() < 7
+            verb = rng.standard_normal((1, 5, 3)) * 50
+            noun = rng.standard_normal((1, 5, 7)) * 50
+            pred_verb, pred_noun = sample_candidates(verb, noun, K=5, temperature=2.0,
+                                                     seeds=[int(rng.integers(1 << 31))])
+            assert pred_verb.min() >= 0 and pred_verb.max() < 3
+            assert pred_noun.min() >= 0 and pred_noun.max() < 7
 
     def test_bad_temperature(self, rng):
-        logits = StepLogits(verb_logits=np.zeros((2, 3)), noun_logits=np.zeros((2, 3)))
         with pytest.raises(ValidationError, match="temperature"):
-            sample_candidates(logits, K=2, temperature=0.0, seed=0)
+            sample_candidates(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), K=2, temperature=0.0, seeds=[0])
+
+    def test_non_finite_logits_are_numeric_error(self):
+        verb = np.zeros((2, 3, 4))
+        verb[1, 2, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            sample_candidates(verb, np.zeros((2, 3, 5)), K=2, temperature=1.0, seeds=[0, 1])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValidationError, match="seeds"):
+            sample_candidates(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), K=2, temperature=1.0, seeds=[0])
+        with pytest.raises(ValidationError, match="K must be"):
+            sample_candidates(np.zeros((1, 3, 4)), np.zeros((1, 3, 5)), K=0, temperature=1.0, seeds=[0])
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cliplta import FeatureStore, SynthConfig, ValidationError, generate, mean_pool
-from cliplta.model import PredictionSet, write_predictions
+from cliplta.model import write_predictions
 from cliplta.synthdata import frame_prototype, label_sequence, video_prototype
 
 
@@ -38,10 +38,9 @@ class TestGenerate:
         # the writers encode with json.dumps (C encoder); the bytes must be
         # those json.dump (pure-Python encoder) gives for the same payload
         data = generate(small_cfg(), tmp_path / "d")
-        write_predictions(tmp_path / "pred.json",
-                          [PredictionSet("b", [[0, 1, 2]], [[3, 2, 1]]),
-                           PredictionSet("a", [[1, 1, 0]], [[0, 0, 0]])],
-                          Z=3, K=1, taxonomy_sha256="f" * 64)
+        write_predictions(tmp_path / "pred.json", ["b", "a"],
+                          np.array([[[0, 1, 2]], [[1, 1, 0]]]), np.array([[[3, 2, 1]], [[0, 0, 0]]]),
+                          taxonomy_sha256="f" * 64)
         for path in (data.gt_train_path, data.gt_val_path, data.root / "latents.json",
                      tmp_path / "pred.json"):
             written = Path(path).read_text(encoding="utf-8")
