@@ -13,10 +13,10 @@ weights that form a probability distribution.
 import numpy as np
 
 from cliplta import (
+    CrossAttention,
     Taxonomy,
     build_text_table,
     img_text_concat,
-    init_cross_attention,
     mean_pool,
     stub_embed,
 )
@@ -53,7 +53,7 @@ print(f"img_text_concat   -> width {concat.shape[-1]} (= 5 x {C}: image block + 
       "top-1 noun/verb/scenario/place blocks)")
 
 # --- variant 3: cross-attention aggregation ----------------------------
-params = init_cross_attention(rng, c=C, d_attn=C, n_heads=4)
+params = CrossAttention(rng, c=C, d_attn=C, n_heads=4)
 query = stub_embed(100, "a video of a person performing an action", C)
 out, cache = cross_attention_forward(params, query, frames[None])
 attended, weights = out[0], cache["weights"][0]

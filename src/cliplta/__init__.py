@@ -13,9 +13,9 @@ Library layout:
 """
 
 from .aggregate import (
+    CrossAttention,
     ProbeReport,
     img_text_concat,
-    init_cross_attention,
     mean_pool,
     rank_labels,
     zero_shot_probe,

@@ -11,7 +11,8 @@ descriptor per clip:
 * ``cross_attention_forward`` - a single text-prompt query attends over the
   frames through multi-head attention; the weighted average of the projected
   frames is the descriptor, (B, N, c) -> (B, c). It is the one trainable
-  aggregator, so it also has a backward pass.
+  aggregator, so it also has a backward pass, ``cross_attention_backward``,
+  which follows the layer protocol of :mod:`cliplta.nn`.
 
 None of these apply positional information, so all three are invariant to
 frame order. ``rank_labels`` is the one cosine label ranker: it maps query
@@ -109,10 +110,11 @@ def img_text_concat(frames: np.ndarray, tables: dict[str, TextEmbeddingTable]) -
 class CrossAttention(Module):
     """Projections for single-query multi-head attention over frames.
 
-    W_q, W_k, W_v: (c, d_attn); W_o: (d_attn, c); no biases. d_attn must be
-    divisible by n_heads. :func:`cross_attention_backward` returns the
-    gradients and the caller adds them into ``grads``. ``LtaModel`` also
-    registers the query it attends with here, as ``query``.
+    W_q, W_k, W_v: (c, d_attn); W_o: (d_attn, c); no biases; symmetric-uniform
+    init scaled by 1/sqrt(fan_in). d_attn must be divisible by n_heads.
+    :func:`cross_attention_backward` adds the projection gradients into
+    ``grads``. ``LtaModel`` also registers the query it attends with here,
+    as ``query``.
     """
 
     def __init__(self, rng: np.random.Generator, c: int, d_attn: int, n_heads: int, dtype=np.float64):
@@ -122,10 +124,10 @@ class CrossAttention(Module):
         self.n_heads = n_heads
         bq = 1.0 / np.sqrt(c)
         bo = 1.0 / np.sqrt(d_attn)
-        self.W_q, _ = self.param("W_q", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_k, _ = self.param("W_k", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_v, _ = self.param("W_v", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_o, _ = self.param("W_o", rng.uniform(-bo, bo, (d_attn, c)).astype(dtype))
+        self.W_q, self.dW_q = self.param("W_q", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_k, self.dW_k = self.param("W_k", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_v, self.dW_v = self.param("W_v", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
+        self.W_o, self.dW_o = self.param("W_o", rng.uniform(-bo, bo, (d_attn, c)).astype(dtype))
 
     @property
     def c(self) -> int:
@@ -134,12 +136,6 @@ class CrossAttention(Module):
     @property
     def d_head(self) -> int:
         return self.W_q.shape[1] // self.n_heads
-
-
-def init_cross_attention(rng: np.random.Generator, c: int, d_attn: int, n_heads: int,
-                         dtype=np.float64) -> CrossAttention:
-    """Symmetric-uniform init scaled by 1/sqrt(fan_in)."""
-    return CrossAttention(rng, c, d_attn, n_heads, dtype)
 
 
 def cross_attention_forward(params: CrossAttention, query: np.ndarray,
@@ -194,17 +190,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def cross_attention_backward(params: CrossAttention, cache: dict,
-                             d_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Gradients of the batched forward pass.
+                             d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of the batched forward pass; d_out is (B, c).
 
-    Returns (param_grads, d_query, d_frames); d_query is summed over the
+    Adds the W_q, W_k, W_v and W_o gradients into ``params.grads`` and
+    returns (d_query (c,), d_frames (B, N, c)); d_query is summed over the
     batch because the query is shared.
     """
     weights, Kh, Vh, qh = cache["weights"], cache["Kh"], cache["Vh"], cache["qh"]
     rows = cache["rows"]
     B, H, N, dh = Kh.shape
 
-    dW_o = cache["concat"].T @ d_out
+    params.dW_o += cache["concat"].T @ d_out
     d_heads = (d_out @ params.W_o.T).reshape(B, H, dh)
 
     d_weights = (Vh @ d_heads[..., None])[..., 0]           # (B, H, N)
@@ -213,16 +210,14 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
 
     dq = (d_scores[:, :, None, :] @ Kh).sum(axis=0).reshape(H * dh)
     dKh = d_scores[..., None] * qh[:, None, :]
-    dW_q = np.outer(cache["query"], dq)
+    params.dW_q += np.outer(cache["query"], dq)
     d_query = params.W_q @ dq
 
     dK, dV = _merge_heads(dKh), _merge_heads(dVh)           # (B*N, d_attn)
-    dW_k = rows.T @ dK
-    dW_v = rows.T @ dV
+    params.dW_k += rows.T @ dK
+    params.dW_v += rows.T @ dV
     d_frames = (dK @ params.W_k.T + dV @ params.W_v.T).reshape(B, N, -1)
-
-    grads = {"W_q": dW_q, "W_k": dW_k, "W_v": dW_v, "W_o": dW_o}
-    return grads, d_query, d_frames
+    return d_query, d_frames
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Subcommands: gen-synth, train, eval, probe, report. Config files are JSON;
 any flag given on the command line overrides the matching config key.
-Exit codes: 0 success, 2 validation error, 3 runtime/numeric error.
+Exit codes: 0 success, 2 validation error or missing file, 3 numeric error
+or operating-system error. Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .aggregate import probe_record, zero_shot_probe
-from .errors import ValidationError, read_json_object, require
+from .errors import NumericError, ValidationError, read_json_object, require
 from .featurestore import FeatureStore
 from .harness import DEFAULT_PROMPT_TEMPLATE, TrainConfig, build_label_tables, run_eval, train
 from .synthdata import SynthConfig, generate
@@ -213,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # numeric/runtime failures
+    except (NumericError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
 

@@ -23,12 +23,6 @@ from .taxonomy import CATEGORIES, Taxonomy
 MANIFEST_NAME = "manifest.json"
 DTYPE_TAG = "f32le"
 
-# full-scale extraction policy for offline adapters writing this format:
-# 32 frames per clip, sampled 4 frames apart; both are adapter configuration,
-# nothing in this package depends on them
-DEFAULT_FRAMES_PER_CLIP = 32
-DEFAULT_FRAME_STRIDE = 4
-
 
 @dataclass(frozen=True)
 class FrameEmbeddingSequence:

@@ -4,8 +4,9 @@ Per input clip, the video-network descriptor and the frame-aggregation
 descriptor are concatenated across channels into one token. A stack of
 transformer encoder layers with learned positional embeddings mixes the
 input-clip tokens (clip order matters here, unlike frame order inside a
-clip), and a decoder block of Z learned step queries cross-attends to the
-encoder output. Two linear heads emit per-step verb and noun logits.
+clip). The decoder is one ``nn.TransformerLayer`` whose Z learned step
+queries attend over the encoder output. Two linear heads emit per-step verb
+and noun logits.
 
 Variants select what goes into the token. ``VARIANTS`` is their one
 definition: every site that depends on the variant reads it there.
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .aggregate import cross_attention_backward, cross_attention_forward, init_cross_attention
+from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
 from .errors import NumericError, ValidationError, read_json_object, require
 from .featurestore import stub_embed
 
@@ -143,7 +144,7 @@ class LtaModel(nn.Module):
 
         self.aggregator = None
         if config.clip_source == "attention":
-            self.aggregator = self.child("aggregator", init_cross_attention(
+            self.aggregator = self.child("aggregator", CrossAttention(
                 rng, config.c, config.attn_width, config.n_heads_ca, dtype))
             if config.learned_query:
                 bound = 1.0 / np.sqrt(config.c)
@@ -159,18 +160,15 @@ class LtaModel(nn.Module):
         self.pos_embed, self._d_pos_embed = self.param(
             "pos_embed", rng.uniform(-bound, bound, (config.n_input_clips, D)).astype(dtype))
 
-        self.encoder = [
-            self.child(f"encoder.{i}",
-                       nn.TransformerEncoderLayer(rng, D, config.n_heads_agg, config.ffn_width, dtype))
-            for i in range(config.n_layers)
-        ]
+        def layer():
+            return nn.TransformerLayer(rng, D, config.n_heads_agg, config.ffn_width, dtype)
 
+        self.encoder = [self.child(f"encoder.{i}", layer()) for i in range(config.n_layers)]
         self.step_queries, self._d_step_queries = self.param(
             "step_queries", rng.uniform(-bound, bound, (config.Z, D)).astype(dtype))
-        self.dec_attn = self.child("decoder.attn", nn.MultiHeadAttention(rng, D, config.n_heads_agg, dtype))
-        self.dec_ln1 = self.child("decoder.ln1", nn.LayerNorm(D, dtype))
-        self.dec_ffn = self.child("decoder.ffn", nn.FeedForward(rng, D, config.ffn_width, dtype))
-        self.dec_ln2 = self.child("decoder.ln2", nn.LayerNorm(D, dtype))
+        self.decoder = d = self.child("decoder", layer())
+        # the same objects under the names perfbench/spans.py wraps
+        self.dec_attn, self.dec_ln1, self.dec_ffn, self.dec_ln2 = d.attn, d.ln1, d.ffn, d.ln2
         self.verb_head = self.child("verb_head", nn.Linear(rng, D, config.n_verbs, dtype))
         self.noun_head = self.child("noun_head", nn.Linear(rng, D, config.n_nouns, dtype))
 
@@ -217,65 +215,36 @@ class LtaModel(nn.Module):
             )
         return tokens, ca_cache
 
-    def forward_tokens(self, tokens: np.ndarray):
-        """Aggregate fused tokens and decode logits.
-
-        tokens: (B, T, d_model). Returns (verb_logits (B, Z, n_verbs),
-        noun_logits (B, Z, n_nouns), cache).
-        """
-        if tokens.ndim != 3 or tokens.shape[2] != self.config.d_model:
-            raise ValidationError(
-                f"tokens must be (B, {self.config.n_input_clips}, {self.config.d_model}), got {tokens.shape}"
-            )
-        B = tokens.shape[0]
+    def forward_batch(self, batch: dict):
+        """Logits verb (B, Z, n_verbs) and noun (B, Z, n_nouns) of a raw batch, plus the cache."""
+        tokens, ca_cache = self.featurize_batch(batch)
         x = tokens + self.pos_embed
         enc_caches = []
         for layer in self.encoder:
-            x, c = layer.forward(x)
+            x, c = layer.forward(x, x)
             enc_caches.append(c)
-        enc_out = x
-
+        B = tokens.shape[0]
         qb = np.broadcast_to(self.step_queries, (B,) + self.step_queries.shape).astype(self.dtype, copy=False)
-        a, c_attn = self.dec_attn.forward(qb, enc_out)
-        y1, c_ln1 = self.dec_ln1.forward(qb + a)
-        f, c_ffn = self.dec_ffn.forward(y1)
-        y2, c_ln2 = self.dec_ln2.forward(y1 + f)
-        verb_logits, c_vh = self.verb_head.forward(y2)
-        noun_logits, c_nh = self.noun_head.forward(y2)
-        cache = (enc_caches, c_attn, c_ln1, c_ffn, c_ln2, c_vh, c_nh)
-        return verb_logits, noun_logits, cache
-
-    def backward_tokens(self, cache, d_verb: np.ndarray, d_noun: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; returns the gradient w.r.t. tokens."""
-        enc_caches, c_attn, c_ln1, c_ffn, c_ln2, c_vh, c_nh = cache
-        dy2 = self.verb_head.backward(c_vh, d_verb) + self.noun_head.backward(c_nh, d_noun)
-        dh2 = self.dec_ln2.backward(c_ln2, dy2)
-        dy1 = dh2 + self.dec_ffn.backward(c_ffn, dh2)
-        dh1 = self.dec_ln1.backward(c_ln1, dy1)
-        dqb, d_enc = self.dec_attn.backward(c_attn, dh1)
-        self._d_step_queries += (dh1 + dqb).sum(axis=0)
-        dx = d_enc
-        for layer, c in zip(reversed(self.encoder), reversed(enc_caches)):
-            dx = layer.backward(c, dx)
-        self._d_pos_embed += dx.sum(axis=0)
-        return dx
-
-    def forward_batch(self, batch: dict):
-        tokens, ca_cache = self.featurize_batch(batch)
-        verb_logits, noun_logits, cache = self.forward_tokens(tokens)
-        return verb_logits, noun_logits, (cache, ca_cache, tokens.shape)
+        y, c_dec = self.decoder.forward(qb, x)
+        verb_logits, c_vh = self.verb_head.forward(y)
+        noun_logits, c_nh = self.noun_head.forward(y)
+        return verb_logits, noun_logits, (ca_cache, enc_caches, c_dec, c_vh, c_nh)
 
     def backward_batch(self, cache, d_verb: np.ndarray, d_noun: np.ndarray) -> None:
-        token_cache, ca_cache, token_shape = cache
-        d_tokens = self.backward_tokens(token_cache, d_verb, d_noun)
+        """Accumulate every parameter gradient of the batch."""
+        ca_cache, enc_caches, c_dec, c_vh, c_nh = cache
+        dy = self.verb_head.backward(c_vh, d_verb) + self.noun_head.backward(c_nh, d_noun)
+        dqb, dx = self.decoder.backward(c_dec, dy)
+        self._d_step_queries += dqb.sum(axis=0)
+        for layer, c in zip(reversed(self.encoder), reversed(enc_caches)):
+            dx, d_memory = layer.backward(c, dx)
+            dx = dx + d_memory
+        self._d_pos_embed += dx.sum(axis=0)
         if ca_cache is not None:
-            B, T, _ = token_shape
-            d_clip = d_tokens[..., -self.config.c:].reshape(B * T, self.config.c)
-            grads, d_query, _ = cross_attention_backward(self.aggregator, ca_cache, d_clip)
-            agg_grads = self.aggregator.grads
-            for k, g in grads.items():
-                agg_grads[k] += g
-            agg_grads["query"] += d_query
+            B, T, _ = dx.shape
+            d_clip = dx[..., -self.config.c:].reshape(B * T, -1)
+            d_query, _ = cross_attention_backward(self.aggregator, ca_cache, d_clip)
+            self.aggregator.grads["query"] += d_query
 
 
 def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,

@@ -1,10 +1,15 @@
 """Minimal neural-net layers with hand-written backward passes.
 
-Everything is plain numpy. Layers follow one convention: ``forward`` returns
-``(output, cache)``, ``backward(cache, d_out)`` returns the gradient w.r.t.
-the input and accumulates parameter gradients in place. Training is
-single-writer, so gradient accumulation needs no locking; call
-``zero_grad()`` between steps.
+Everything is plain numpy. Every layer follows one protocol: ``forward``
+returns ``(output, cache)``, and ``backward(cache, d_out)`` returns one
+gradient per input (a tuple when the forward takes several) and adds its
+parameter gradients into its own registry. No caller adds a module's
+parameter gradients for it. Training is single-writer, so gradient
+accumulation needs no locking; call ``zero_grad()`` between steps.
+
+:class:`TransformerLayer` is the one transformer block: ``forward(x,
+memory)`` lets ``x`` attend over ``memory``. The encoder calls it with
+``memory = x``, the decoder with the encoder output.
 
 Every layer, the cross-attention aggregator and the model itself derive
 from :class:`Module`, which holds the one parameter registry. A module
@@ -196,8 +201,8 @@ class FeedForward(Module):
         return self.lin1.backward(c1, dh)
 
 
-class TransformerEncoderLayer(Module):
-    """Post-norm encoder block: self-attention then feed-forward, residual each."""
+class TransformerLayer(Module):
+    """Post-norm block: ``x`` attends over ``memory``, then feed-forward, residual each."""
 
     def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, d_ff: int, dtype=np.float32):
         super().__init__()
@@ -206,20 +211,21 @@ class TransformerEncoderLayer(Module):
         self.ffn = self.child("ffn", FeedForward(rng, d_model, d_ff, dtype))
         self.ln2 = self.child("ln2", LayerNorm(d_model, dtype))
 
-    def forward(self, x: np.ndarray):
-        a, ca = self.attn.forward(x, x)
+    def forward(self, x: np.ndarray, memory: np.ndarray):
+        a, ca = self.attn.forward(x, memory)
         y1, c1 = self.ln1.forward(x + a)
         f, cf = self.ffn.forward(y1)
         y2, c2 = self.ln2.forward(y1 + f)
         return y2, (ca, c1, cf, c2)
 
-    def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, d_out: np.ndarray):
+        """Returns (d_x, d_memory)."""
         ca, c1, cf, c2 = cache
         dh2 = self.ln2.backward(c2, d_out)
         dy1 = dh2 + self.ffn.backward(cf, dh2)
         dh1 = self.ln1.backward(c1, dy1)
-        dq, dkv = self.attn.backward(ca, dh1)
-        return dh1 + dq + dkv
+        dq, d_memory = self.attn.backward(ca, dh1)
+        return dh1 + dq, d_memory
 
 
 def cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cliplta import (
+    CrossAttention,
     FeatureStore,
     FrameEmbeddingSequence,
     LtaModel,
@@ -24,7 +25,6 @@ from cliplta import (
     edit_distance,
     generate,
     img_text_concat,
-    init_cross_attention,
     load_checkpoint,
     mean_pool,
     rank_labels,
@@ -102,7 +102,7 @@ class TestAggregationInvariants:
         rng = RNG(11)
         c = 16
         frames = rng.standard_normal((12, c))
-        params = init_cross_attention(rng, c=c, d_attn=c, n_heads=4)
+        params = CrossAttention(rng, c=c, d_attn=c, n_heads=4)
         query = rng.standard_normal(c)
         tables = stub_tables(c=c)
 
@@ -138,7 +138,7 @@ class TestGradientCorrectness:
         rng = RNG(2024)
 
         for _ in range(20):
-            params = init_cross_attention(rng, c=4, d_attn=4, n_heads=2)
+            params = CrossAttention(rng, c=4, d_attn=4, n_heads=2)
             query = rng.standard_normal(4)
             frames = rng.standard_normal((3, 4))
             probe = rng.standard_normal((1, 4))
@@ -148,7 +148,8 @@ class TestGradientCorrectness:
                 return float((out * probe).sum())
 
             _, cache = cross_attention_forward(params, query, frames[None])
-            grads, d_query, d_frames = cross_attention_backward(params, cache, probe)
+            d_query, d_frames = cross_attention_backward(params, cache, probe)
+            grads = params.grads
             for name in ("W_q", "W_k", "W_v", "W_o"):
                 assert max_rel_err(grads[name], finite_difference(loss, getattr(params, name))) < 1e-4
             assert max_rel_err(d_query, finite_difference(loss, query)) < 1e-4

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cliplta import (
+    CrossAttention,
     Taxonomy,
     TextEmbeddingTable,
     ValidationError,
     img_text_concat,
-    init_cross_attention,
     mean_pool,
     rank_labels,
     zero_shot_probe,
@@ -172,7 +172,7 @@ class TestBatchedCalls:
 
 class TestCrossAttention:
     def test_single_key_ignores_query(self, rng):
-        params = init_cross_attention(rng, c=6, d_attn=6, n_heads=2)
+        params = CrossAttention(rng, c=6, d_attn=6, n_heads=2)
         frame = rng.standard_normal((1, 6))
         out1, _ = attend(params, rng.standard_normal(6), frame)
         out2, _ = attend(params, rng.standard_normal(6), frame)
@@ -181,7 +181,7 @@ class TestCrossAttention:
         np.testing.assert_allclose(out2, expected, atol=1e-10)
 
     def test_identical_frames_match_single_frame(self, rng):
-        params = init_cross_attention(rng, c=6, d_attn=6, n_heads=3)
+        params = CrossAttention(rng, c=6, d_attn=6, n_heads=3)
         query = rng.standard_normal(6)
         frame = rng.standard_normal(6)
         single, _ = attend(params, query, frame[None, :])
@@ -189,14 +189,14 @@ class TestCrossAttention:
         np.testing.assert_allclose(repeated, single, atol=1e-10)
 
     def test_weights_are_probability_vectors(self, rng):
-        params = init_cross_attention(rng, c=8, d_attn=8, n_heads=4)
+        params = CrossAttention(rng, c=8, d_attn=8, n_heads=4)
         _, weights = attend(params, rng.standard_normal(8), rng.standard_normal((11, 8)))
         assert weights.shape == (4, 11)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
     def test_permutation_invariance(self, rng):
-        params = init_cross_attention(rng, c=8, d_attn=8, n_heads=2)
+        params = CrossAttention(rng, c=8, d_attn=8, n_heads=2)
         query = rng.standard_normal(8)
         frames = rng.standard_normal((10, 8))
         base, _ = attend(params, query, frames)
@@ -206,23 +206,23 @@ class TestCrossAttention:
             np.testing.assert_allclose(out, base, atol=1e-6)
 
     def test_output_width_is_c(self, rng):
-        params = init_cross_attention(rng, c=12, d_attn=8, n_heads=2)
+        params = CrossAttention(rng, c=12, d_attn=8, n_heads=2)
         out, _ = attend(params, rng.standard_normal(12), rng.standard_normal((3, 12)))
         assert out.shape == (12,)
 
     def test_dimension_mismatch_rejected(self, rng):
-        params = init_cross_attention(rng, c=8, d_attn=8, n_heads=2)
+        params = CrossAttention(rng, c=8, d_attn=8, n_heads=2)
         with pytest.raises(ValidationError):
             attend(params, rng.standard_normal(8), rng.standard_normal((3, 5)))
 
     def test_invalid_params_rejected(self, rng):
         with pytest.raises(ValidationError, match="divisible"):
-            init_cross_attention(rng, c=8, d_attn=6, n_heads=4)
+            CrossAttention(rng, c=8, d_attn=6, n_heads=4)
 
     def test_gradients_match_finite_differences(self, rng):
         # central differences with step 1e-5 against the hand-written backward
         for trial in range(20):
-            params = init_cross_attention(rng, c=4, d_attn=4, n_heads=2)
+            params = CrossAttention(rng, c=4, d_attn=4, n_heads=2)
             query = rng.standard_normal(4)
             frames = rng.standard_normal((3, 4))
             probe = rng.standard_normal((1, 4))
@@ -232,7 +232,8 @@ class TestCrossAttention:
                 return float((out * probe).sum())
 
             out, cache = cross_attention_forward(params, query, frames[None])
-            grads, d_query, d_frames = cross_attention_backward(params, cache, probe)
+            d_query, d_frames = cross_attention_backward(params, cache, probe)
+            grads = params.grads
 
             for name in ("W_q", "W_k", "W_v", "W_o"):
                 numeric = finite_difference(loss, getattr(params, name))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cliplta import cli
 from cliplta.cli import main
 
 
@@ -126,6 +127,22 @@ class TestExitCodes:
             "--out-dir", str(tmp_path / "r"), "--epochs", "0",
         ])
         assert code == 2
+
+    def test_unexpected_exception_propagates(self, monkeypatch, tmp_path):
+        def broken(args):
+            raise KeyError("no such key")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", broken)
+        with pytest.raises(KeyError, match="no such key"):
+            main(["report", "--runs", str(tmp_path)])
+
+    def test_os_error_is_3(self, monkeypatch, tmp_path, capsys):
+        def denied(args):
+            raise PermissionError(f"permission denied: {tmp_path}")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", denied)
+        assert main(["report", "--runs", str(tmp_path)]) == 3
+        assert "permission denied" in capsys.readouterr().err
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-synth", "--config", str(tmp_path / "nope.json"),

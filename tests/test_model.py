@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cliplta import (
     sample_candidates,
     save_checkpoint,
 )
+from cliplta.harness import precompute_descriptors
 from cliplta.model import VARIANTS, batch_loss_and_grads
 from helpers import finite_difference, max_rel_err
 
@@ -111,8 +113,9 @@ class TestForward:
         cfg = tiny_config()
         model = LtaModel(cfg, dtype=np.float64)
         tokens = rng.standard_normal((1, 2, cfg.d_model))
-        v1, _, _ = model.forward_tokens(tokens)
-        v2, _, _ = model.forward_tokens(tokens[:, ::-1])
+        batch = {"video": tokens[..., :cfg.d_video], "clip_desc": tokens[..., cfg.d_video:]}
+        v1, _, _ = model.forward_batch(batch)
+        v2, _, _ = model.forward_batch({key: arr[:, ::-1] for key, arr in batch.items()})
         assert not np.allclose(v1, v2)
 
     def test_wrong_token_count(self, rng):
@@ -190,6 +193,58 @@ class TestFloat32:
             v1, n1, _ = model.forward_batch({k: x[b:b + 1] for k, x in batch.items()})
             for one, many in ((v1[0], v64[b]), (n1[0], n64[b])):
                 assert np.abs(one - many).max() <= 1e-5 * np.abs(many).max(), b
+
+
+def raw_clips(cfg, rng, B, N):
+    """Float32 video descriptors (B, T, d_video) and frames (B, T, N, c)."""
+    video = rng.standard_normal((B, cfg.n_input_clips, cfg.d_video)).astype(np.float32)
+    frames = rng.standard_normal((B, cfg.n_input_clips, N, cfg.c)).astype(np.float32)
+    return video, frames
+
+
+def model_inputs(cfg, video, frames, tables):
+    """Model batch of raw clips: precomputed descriptors as the harness computes them."""
+    split = SimpleNamespace(frames=frames, clip_desc=None)
+    precompute_descriptors(split, cfg.variant, tables)
+    batch = {"video": video, "frames": frames}
+    if split.clip_desc is not None:
+        batch["clip_desc"] = split.clip_desc
+    return batch
+
+
+class TestInvariances:
+    """Model-level symmetries every variant must keep, checked without finite differences."""
+
+    def _model(self, variant):
+        cfg = tiny_config(variant, c=8, d_video=8, d_ff=16, d_attn=8, n_heads_agg=2, n_heads_ca=2,
+                          n_input_clips=3, n_layers=2, Z=4, n_verbs=7, n_nouns=9)
+        return cfg, LtaModel(cfg)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_frame_order_inside_a_clip_is_irrelevant(self, variant, rng, stub_tables):
+        cfg, model = self._model(variant)
+        tables = stub_tables(c=cfg.c)
+        for _ in range(3):
+            video, frames = raw_clips(cfg, rng, B=4, N=6)
+            v, n, _ = model.forward_batch(model_inputs(cfg, video, frames, tables))
+            shuffled = np.stack([np.stack([clip[rng.permutation(len(clip))] for clip in example])
+                                 for example in frames])
+            v_perm, n_perm, _ = model.forward_batch(model_inputs(cfg, video, shuffled, tables))
+            np.testing.assert_allclose(v_perm, v, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(n_perm, n, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_permutation_permutes_logits(self, variant, rng, stub_tables):
+        cfg, model = self._model(variant)
+        tables = stub_tables(c=cfg.c)
+        for _ in range(3):
+            video, frames = raw_clips(cfg, rng, B=6, N=5)
+            batch = model_inputs(cfg, video, frames, tables)
+            v, n, _ = model.forward_batch(batch)
+            perm = rng.permutation(6)
+            v_perm, n_perm, _ = model.forward_batch({k: x[perm] for k, x in batch.items()})
+            for permuted, base in ((v_perm, v[perm]), (n_perm, n[perm])):
+                assert np.abs(permuted - base).max() <= 1e-5 * np.abs(base).max()
 
 
 class TestLoss:

@@ -1,11 +1,12 @@
-"""Derandomized property tests of the batched sampler and the ED@(Z,K) scorer.
+"""Derandomized property tests of the batched sampler, the ED@(Z,K) scorer and
+the edit distance.
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as reproducible as the seeded ones.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliplta import ed_at_zk, edit_distance, sample_candidates
@@ -50,3 +51,22 @@ def test_ed_at_zk_is_bounded_monotone_min_of_scalar_distances(B, K, Z, n_classes
     for b in range(B):
         assert verb[b] == min(edit_distance(row, gt_verb[b]) for row in pred_verb[b]) / Z
         assert noun[b] == min(edit_distance(row, gt_noun[b]) for row in pred_noun[b]) / Z
+
+
+# three integer strings of length 0-8 over one alphabet of 2-6 symbols
+STRINGS = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=8), min_size=3, max_size=3))
+
+
+@PROPERTY
+@given(strings=STRINGS)
+# "CA" -> "ABC" is 2 edits; a DP that only swaps adjacent symbols charges 3,
+# more than "CA" -> "AC" -> "ABC"
+@example(strings=[[2, 0], [0, 1, 2], [0, 2]])
+def test_edit_distance_is_a_bounded_metric(strings):
+    a, b, c = strings
+    d = edit_distance(a, b)
+    assert d == edit_distance(b, a)
+    assert d <= edit_distance(a, c) + edit_distance(c, b)
+    assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+    assert edit_distance(a, a) == 0
