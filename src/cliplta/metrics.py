@@ -33,60 +33,92 @@ from .taxonomy import GroundTruthSequence, Taxonomy
 def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Minimum number of unit edits turning ``a`` into ``b``.
 
-    Dynamic program over prefix pairs; the transposition case tracks, for
-    each symbol, the last position it occurred at in either string, so swaps
-    separated by since-deleted material are still charged correctly
-    (d("CA","ABC") is 2, not 3).
+    Dynamic program over prefix pairs, O(len(a) * len(b)) time per pair. The
+    transposition case tracks, for each symbol, the last position it occurred
+    at in either string, so swaps separated by since-deleted material are
+    still charged correctly (d("CA","ABC") is 2, not 3).
+
+    Row ``i`` of the table is the distance from ``a[:i]`` to every prefix of
+    ``b``. ``last_row[j - 1]`` is the last row before ``i`` whose symbol is
+    ``b[j - 1]``, and ``last_col`` the last column before ``j`` whose symbol
+    is ``a[i - 1]``; the transposition term is read only when both exist.
+    A matching cell takes its diagonal, which no edit through an earlier
+    match can undercut, and a row whose symbol is not in ``b`` cannot
+    transpose, so it runs plain Levenshtein.
     """
     a = list(a)
     b = list(b)
+    if a == b:
+        return 0
     la, lb = len(a), len(b)
     if la == 0:
         return lb
     if lb == 0:
         return la
+    cols_of: dict[int, list[int]] = {}
+    for j, symbol in enumerate(b, 1):
+        cols_of.setdefault(symbol, []).append(j)
+    if cols_of.keys().isdisjoint(a):
+        # no symbol in common: every aligned pair is a substitution
+        return max(la, lb)
 
-    maxdist = la + lb
-    # (la + 2) x (lb + 2) table with a sentinel border for the transposition case
-    d = [[maxdist] * (lb + 2) for _ in range(la + 2)]
-    for i in range(la + 1):
-        d[i + 1][1] = i
-    for j in range(lb + 1):
-        d[1][j + 1] = j
-
-    last_row: dict[int, int] = {}
-    for i in range(1, la + 1):
-        last_col = 0
-        for j in range(1, lb + 1):
-            row = last_row.get(b[j - 1], 0)
-            col = last_col
-            if a[i - 1] == b[j - 1]:
-                cost = 0
-                last_col = j
-            else:
-                cost = 1
-            d[i + 1][j + 1] = min(
-                d[i][j] + cost,                            # substitute / match
-                d[i + 1][j] + 1,                           # insert
-                d[i][j + 1] + 1,                           # delete
-                d[row][col] + (i - row - 1) + 1 + (j - col - 1),  # transpose
-            )
-        last_row[a[i - 1]] = i
-    return d[la + 1][lb + 1]
+    last_row = [0] * lb
+    prev = list(range(lb + 1))
+    rows = [prev]
+    for i, x in enumerate(a, 1):
+        cols = cols_of.get(x)
+        cur = [i]
+        left = i
+        if cols is None:
+            for bj, diag, up in zip(b, prev, prev[1:]):
+                if bj == x:
+                    left = diag
+                elif diag < up:
+                    left = diag + 1 if diag < left else left + 1
+                else:
+                    left = up + 1 if up < left else left + 1
+                cur.append(left)
+        else:
+            last_col = 0
+            for j, (bj, diag, up, r) in enumerate(zip(b, prev, prev[1:], last_row), 1):
+                if bj == x:
+                    left = diag
+                    last_col = j
+                else:
+                    if diag < up:
+                        left = diag + 1 if diag < left else left + 1
+                    else:
+                        left = up + 1 if up < left else left + 1
+                    if r and last_col:
+                        swap = rows[r - 1][last_col - 1] + (i - r - 1) + 1 + (j - last_col - 1)
+                        if swap < left:
+                            left = swap
+                cur.append(left)
+            for j in cols:
+                last_row[j - 1] = i
+        rows.append(cur)
+        prev = cur
+    return prev[lb]
 
 
 def ed_at_zk(pred_verb: np.ndarray, pred_noun: np.ndarray,
              gt_verb: np.ndarray, gt_noun: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-example (verb (B,), noun (B,)) float64 scores: min over K of distance / Z.
 
-    pred_verb/pred_noun: (B, K, Z) candidate ids; gt_verb/gt_noun: (B, Z).
+    pred_verb/pred_noun: (B, K, Z) candidate ids with K, Z >= 1; gt_verb/gt_noun:
+    (B, Z). ``edit_distance`` runs once per (example, candidate, verb|noun).
     """
-    scores = []
-    for pred, gt in ((pred_verb, gt_verb), (pred_noun, gt_noun)):
-        pred, gt = np.asarray(pred), np.asarray(gt)
-        if pred.ndim != 3 or pred.shape[::2] != gt.shape:
+    kinds = [(np.asarray(pred), np.asarray(gt)) for pred, gt in ((pred_verb, gt_verb), (pred_noun, gt_noun))]
+    for pred, gt in kinds:
+        if pred.ndim != 3 or pred.shape[::2] != gt.shape or 0 in pred.shape[1:]:
             raise ValidationError(f"candidates {pred.shape} do not match ground truth {gt.shape}: "
-                                  "expected (B, K, Z) and (B, Z) with the same horizon Z")
+                                  "expected (B, K, Z) and (B, Z) with the same horizon Z and K, Z >= 1")
+    (verb, _), (noun, _) = kinds
+    if len(verb) != len(noun):
+        raise ValidationError(f"verb candidates {verb.shape} and noun candidates {noun.shape} "
+                              "hold different numbers of examples B")
+    scores = []
+    for pred, gt in kinds:
         B, K, Z = pred.shape
         dist = [edit_distance(row, target) for cands, target in zip(pred.tolist(), gt.tolist()) for row in cands]
         scores.append(np.array(dist, dtype=np.float64).reshape(B, K).min(axis=1) / Z)

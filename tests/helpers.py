@@ -1,5 +1,6 @@
-"""Shared test utilities: the brute-force edit oracle, gradient checking,
-single-clip attention, and the one-example reference sampler."""
+"""Shared test utilities: the brute-force edit oracle, the reference edit
+distance, gradient checking, single-clip attention, and the one-example
+reference sampler."""
 
 import numpy as np
 
@@ -71,6 +72,53 @@ def brute_force_edit_distance(a, b, max_extra: int = 2) -> int:
             front_b = new_front
             radius_b += 1
     return best
+
+
+def reference_edit_distance(a, b) -> int:
+    """The scalar Lowrance-Wagner table that ``edit_distance`` must equal.
+
+    Minimum number of unit edits turning ``a`` into ``b``.
+
+    Dynamic program over prefix pairs; the transposition case tracks, for
+    each symbol, the last position it occurred at in either string, so swaps
+    separated by since-deleted material are still charged correctly
+    (d("CA","ABC") is 2, not 3).
+    """
+    a = list(a)
+    b = list(b)
+    la, lb = len(a), len(b)
+    if la == 0:
+        return lb
+    if lb == 0:
+        return la
+
+    maxdist = la + lb
+    # (la + 2) x (lb + 2) table with a sentinel border for the transposition case
+    d = [[maxdist] * (lb + 2) for _ in range(la + 2)]
+    for i in range(la + 1):
+        d[i + 1][1] = i
+    for j in range(lb + 1):
+        d[1][j + 1] = j
+
+    last_row: dict[int, int] = {}
+    for i in range(1, la + 1):
+        last_col = 0
+        for j in range(1, lb + 1):
+            row = last_row.get(b[j - 1], 0)
+            col = last_col
+            if a[i - 1] == b[j - 1]:
+                cost = 0
+                last_col = j
+            else:
+                cost = 1
+            d[i + 1][j + 1] = min(
+                d[i][j] + cost,                            # substitute / match
+                d[i + 1][j] + 1,                           # insert
+                d[i][j + 1] + 1,                           # delete
+                d[row][col] + (i - row - 1) + 1 + (j - col - 1),  # transpose
+            )
+        last_row[a[i - 1]] = i
+    return d[la + 1][lb + 1]
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:

@@ -82,6 +82,17 @@ class TestEdAtZK:
         with pytest.raises(ValidationError, match="horizon"):
             score_one([[0, 1, 2]], [[0, 1, 2]], [0, 1], [0, 1])
 
+    def test_no_candidates_rejected(self):
+        empty = np.zeros((2, 0, 3), dtype=np.int64)
+        gt = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValidationError, match=r"candidates \(2, 0, 3\) .* ground truth \(2, 3\)"):
+            ed_at_zk(empty, empty, gt, gt)
+
+    def test_verb_and_noun_batches_must_agree(self):
+        with pytest.raises(ValidationError, match=r"verb candidates \(2, 1, 3\) and noun candidates \(3, 1, 3\)"):
+            ed_at_zk(np.zeros((2, 1, 3), dtype=np.int64), np.zeros((3, 1, 3), dtype=np.int64),
+                     np.zeros((2, 3), dtype=np.int64), np.zeros((3, 3), dtype=np.int64))
+
     def test_monotone_in_k(self, rng):
         for _ in range(100):
             Z = int(rng.integers(2, 8))

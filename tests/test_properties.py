@@ -1,5 +1,5 @@
 """Derandomized property tests of the batched sampler, the ED@(Z,K) scorer and
-the edit distance.
+the edit distance (a bounded metric, equal to the reference table).
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as reproducible as the seeded ones.
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliplta import ed_at_zk, edit_distance, sample_candidates
-from helpers import reference_sample_candidates
+from helpers import reference_edit_distance, reference_sample_candidates
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -70,3 +70,26 @@ def test_edit_distance_is_a_bounded_metric(strings):
     assert d <= edit_distance(a, c) + edit_distance(c, b)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
     assert edit_distance(a, a) == 0
+
+
+def _strings_over(n_symbols):
+    """Length 0-20 strings over ``n_symbols`` ids, half of them one id repeated,
+    as a greedy candidate row is."""
+    symbol = st.integers(0, n_symbols - 1)
+    return st.one_of(st.lists(symbol, max_size=20),
+                     st.builds(lambda s, n: [s] * n, symbol, st.integers(0, 20)))
+
+
+# two strings over one alphabet: small ones transpose often, 115 and 478 are the
+# Ego4D verb and noun counts
+PAIRS = st.sampled_from([2, 3, 8, 115, 478]).flatmap(lambda n: st.tuples(_strings_over(n), _strings_over(n)))
+
+
+@PROPERTY
+@given(pair=PAIRS)
+@example(pair=([2, 0], [0, 1, 2]))
+@example(pair=([7] * 20, [3, 7, 1, 7, 7, 0, 2, 7, 5, 4, 7, 6, 1, 7, 3, 7, 0, 7, 7, 2]))
+def test_edit_distance_equals_reference_table(pair):
+    a, b = pair
+    assert edit_distance(a, b) == reference_edit_distance(a, b)
+    assert edit_distance(b, a) == reference_edit_distance(b, a)
