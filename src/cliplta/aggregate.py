@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .featurestore import TextEmbeddingTable
-from .nn import Module, softmax, softmax_backward
+from .nn import Module, init_uniform, softmax, softmax_backward
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
@@ -117,17 +117,17 @@ class CrossAttention(Module):
     as ``query``.
     """
 
-    def __init__(self, rng: np.random.Generator, c: int, d_attn: int, n_heads: int, dtype=np.float64):
+    def __init__(self, rng: np.random.Generator | None, c: int, d_attn: int, n_heads: int, dtype=np.float64):
         super().__init__()
         if d_attn % n_heads != 0:
             raise ValidationError(f"d_attn={d_attn} must be divisible by n_heads={n_heads}")
         self.n_heads = n_heads
         bq = 1.0 / np.sqrt(c)
         bo = 1.0 / np.sqrt(d_attn)
-        self.W_q, self.dW_q = self.param("W_q", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_k, self.dW_k = self.param("W_k", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_v, self.dW_v = self.param("W_v", rng.uniform(-bq, bq, (c, d_attn)).astype(dtype))
-        self.W_o, self.dW_o = self.param("W_o", rng.uniform(-bo, bo, (d_attn, c)).astype(dtype))
+        self.W_q, self.dW_q = self.param("W_q", init_uniform(rng, bq, (c, d_attn), dtype))
+        self.W_k, self.dW_k = self.param("W_k", init_uniform(rng, bq, (c, d_attn), dtype))
+        self.W_v, self.dW_v = self.param("W_v", init_uniform(rng, bq, (c, d_attn), dtype))
+        self.W_o, self.dW_o = self.param("W_o", init_uniform(rng, bo, (d_attn, c), dtype))
 
     @property
     def c(self) -> int:

@@ -2,8 +2,9 @@
 
 Two categories, mirroring the CLI exit codes: bad inputs (schemas,
 preconditions, lookups) and numeric/runtime failures. ``read_json_object``
-is the one JSON reader, so a malformed file is always a bad input, and
-``require`` checks the type of one field read from it.
+is the one JSON reader, so a malformed file is always a bad input,
+``require`` checks the type of one field read from it, and
+``require_file_name`` checks a field that names a blob beside the manifest.
 """
 
 import json
@@ -42,3 +43,17 @@ def require(value, kind: type, what: str):
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def require_file_name(value, what: str) -> str:
+    """``value`` if it is a plain file name; raises ValidationError naming ``what`` otherwise.
+
+    A manifest names its blobs relative to its own directory, so a name
+    holds no path separator (``/`` or ``\\``) and no NUL, and is not ``""``,
+    ``.`` or ``..``: a manifest can never point at a file outside that
+    directory, or at the directory itself.
+    """
+    name = require(value, str, what)
+    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
+        raise ValidationError(f"{what} must be a plain file name inside its directory, got {name!r}")
+    return name

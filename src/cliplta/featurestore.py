@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, read_json_object, require
+from .errors import NumericError, ValidationError, read_json_object, require, require_file_name
 from .taxonomy import CATEGORIES, Taxonomy
 
 MANIFEST_NAME = "manifest.json"
@@ -236,8 +236,8 @@ class FeatureStore:
             clip_id = require(entry.get("id"), str, f"{field}.id")
             if require(entry.get("n_frames"), int, f"{field}.n_frames") < 1:
                 raise ValidationError(f"{field}.n_frames must be >= 1, got {entry['n_frames']}")
-            require(entry.get("frames_file"), str, f"{field}.frames_file")
-            require(entry.get("video_file"), str, f"{field}.video_file")
+            require_file_name(entry.get("frames_file"), f"{field}.frames_file")
+            require_file_name(entry.get("video_file"), f"{field}.video_file")
             if clip_id in store._clips:
                 raise ValidationError(f"manifest lists clip {clip_id!r} twice")
             store._clips[clip_id] = entry
@@ -249,8 +249,16 @@ class FeatureStore:
     def __contains__(self, clip_id: str) -> bool:
         return clip_id in self._clips
 
-    def _read_blob(self, filename: str, expected: int) -> np.ndarray:
-        data = (self.root / filename).read_bytes()
+    def _read_blob(self, entry: dict, field: str, expected: int) -> np.ndarray:
+        filename = entry[field]
+        try:
+            data = (self.root / filename).read_bytes()
+        except FileNotFoundError as e:
+            index = list(self._clips).index(entry["id"])
+            raise ValidationError(
+                f"store manifest {self.root / MANIFEST_NAME}: clips[{index}].{field} "
+                f"names a missing blob {filename!r}: {e.strerror}"
+            ) from e
         if len(data) != expected * 4:
             raise NumericError(
                 f"blob {filename} is corrupt: {len(data)} bytes, expected {expected * 4}"
@@ -262,8 +270,8 @@ class FeatureStore:
         if entry is None:
             raise ValidationError(f"unknown clip id {clip_id!r}")
         n = entry["n_frames"]
-        frames = self._read_blob(entry["frames_file"], n * self.c).reshape(n, self.c)
-        video = self._read_blob(entry["video_file"], self.d_video)
+        frames = self._read_blob(entry, "frames_file", n * self.c).reshape(n, self.c)
+        video = self._read_blob(entry, "video_file", self.d_video)
         return (
             FrameEmbeddingSequence(clip_id=clip_id, frames=frames),
             VideoDescriptor(clip_id=clip_id, vector=video),

@@ -14,6 +14,9 @@ assumes.
 
 Scoring works on arrays over the batch: ``ed_at_zk`` takes (B, K, Z)
 candidates and (B, Z) ground truth, as ``read_ground_truth`` returns it.
+``score`` is the one scorer that turns those arrays into an ``EvalReport``:
+``evaluate`` calls it on the files it reads and checks, and
+``harness.run_eval`` on the arrays it already holds.
 """
 
 from __future__ import annotations
@@ -235,7 +238,7 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
     if pred_hash != tax_hash:
         raise ValidationError("prediction taxonomy hash does not match the provided taxonomy")
     n_examples, Z = gt_verb.shape
-    _, K, pred_z = pred_verb.shape
+    pred_z = pred_verb.shape[2]
     if pred_z != Z:
         raise ValidationError(f"prediction horizon Z={pred_z} does not match ground truth Z={Z}")
     if n_examples == 0:
@@ -249,15 +252,26 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
     rows = np.fromiter(map(row_of.get, gt_ids), dtype=np.int64, count=n_examples)
     pred_verb, pred_noun = pred_verb[rows], pred_noun[rows]
     check_label_ids(pred_file, gt_ids, pred_verb, pred_noun, taxonomy)
+    return score(gt_ids, pred_verb, pred_noun, gt_verb, gt_noun)
 
+
+def score(example_ids: list[str], pred_verb: np.ndarray, pred_noun: np.ndarray,
+          gt_verb: np.ndarray, gt_noun: np.ndarray) -> EvalReport:
+    """The report of candidates (B, K, Z) against ground truth (B, Z), row b being ``example_ids[b]``.
+
+    Inputs must already be checked against each other and the taxonomy, as
+    ``evaluate`` does for files and ``harness.run_eval`` for the split it
+    predicted. The per-example rows keep the order of ``example_ids``.
+    """
     verb, noun = ed_at_zk(pred_verb, pred_noun, gt_verb, gt_noun)
     verb, noun = verb.tolist(), noun.tolist()
+    n_examples = len(example_ids)
     return EvalReport(
         # a left-to-right sum of Python floats; np.mean's pairwise sum can differ in the last bit
         verb_ed=sum(verb) / n_examples,
         noun_ed=sum(noun) / n_examples,
         n_examples=n_examples,
-        per_example=list(zip(gt_ids, verb, noun)),
-        Z=Z,
-        K=K,
+        per_example=list(zip(example_ids, verb, noun)),
+        Z=gt_verb.shape[1],
+        K=pred_verb.shape[1],
     )

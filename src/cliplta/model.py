@@ -34,7 +34,7 @@ import numpy as np
 
 from . import nn
 from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
-from .errors import NumericError, ValidationError, read_json_object, require
+from .errors import NumericError, ValidationError, read_json_object, require, require_file_name
 from .featurestore import stub_embed
 
 
@@ -132,23 +132,26 @@ class LtaModel(nn.Module):
     Parameters live in the :class:`nn.Module` registry (see
     ``named_parameters``) and are updated in place by the training loop.
     Construction is fully determined by (config, dtype): initialization
-    draws come from one seeded generator in a fixed order.
+    draws come from one seeded generator in a fixed order. With
+    ``init=False`` it draws nothing and leaves the parameters
+    uninitialised; :func:`load_checkpoint` builds the model that way and
+    then fills every parameter from its blob.
     """
 
-    def __init__(self, config: LtaModelConfig, dtype=np.float32):
+    def __init__(self, config: LtaModelConfig, dtype=np.float32, *, init: bool = True):
         super().__init__()
         self.config = config
         self.dtype = dtype
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if init else None
         D = config.d_model
 
         self.aggregator = None
         if config.clip_source == "attention":
             self.aggregator = self.child("aggregator", CrossAttention(
                 rng, config.c, config.attn_width, config.n_heads_ca, dtype))
-            if config.learned_query:
-                bound = 1.0 / np.sqrt(config.c)
-                query = rng.uniform(-bound, bound, config.c).astype(dtype)
+            if config.learned_query or rng is None:
+                # without a generator the loader fills the query from its blob
+                query = nn.init_uniform(rng, 1.0 / np.sqrt(config.c), config.c, dtype)
             else:
                 # prompt embedded by the same stub text encoder the harness
                 # uses for label tables; a real deployment overwrites this
@@ -158,14 +161,14 @@ class LtaModel(nn.Module):
 
         bound = 1.0 / np.sqrt(D)
         self.pos_embed, self._d_pos_embed = self.param(
-            "pos_embed", rng.uniform(-bound, bound, (config.n_input_clips, D)).astype(dtype))
+            "pos_embed", nn.init_uniform(rng, bound, (config.n_input_clips, D), dtype))
 
         def layer():
             return nn.TransformerLayer(rng, D, config.n_heads_agg, config.ffn_width, dtype)
 
         self.encoder = [self.child(f"encoder.{i}", layer()) for i in range(config.n_layers)]
         self.step_queries, self._d_step_queries = self.param(
-            "step_queries", rng.uniform(-bound, bound, (config.Z, D)).astype(dtype))
+            "step_queries", nn.init_uniform(rng, bound, (config.Z, D), dtype))
         self.decoder = d = self.child("decoder", layer())
         # the same objects under the names perfbench/spans.py wraps
         self.dec_attn, self.dec_ln1, self.dec_ffn, self.dec_ln2 = d.attn, d.ln1, d.ffn, d.ln2
@@ -326,6 +329,16 @@ def save_checkpoint(model: LtaModel, ckpt_dir: str | Path) -> None:
 
 
 def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
+    """The model saved under ``ckpt_dir``, with parameters in ``dtype``.
+
+    The model is built through ``LtaModel.__init__`` with ``init=False``, so
+    loading draws no random init: each parameter is allocated once and filled
+    by decoding its ``<f4`` blob straight into it. The checks stay: the
+    config must be a valid :class:`LtaModelConfig`; the manifest must list
+    exactly the model's parameters, each with its shape and a plain file name
+    inside ``ckpt_dir``; each blob must exist and hold exactly that many
+    float32 values. A failed check raises ValidationError.
+    """
     ckpt_dir = Path(ckpt_dir)
     config_path = ckpt_dir / CONFIG_FILE
     if not config_path.is_file():
@@ -336,26 +349,29 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
         raise ValidationError(f"checkpoint config {config_path}: {e}") from e
     manifest_path = ckpt_dir / PARAMS_MANIFEST
     manifest = read_json_object(manifest_path, "checkpoint manifest")
-    model = LtaModel(config, dtype=dtype)
+    model = LtaModel(config, dtype=dtype, init=False)
     params = model.named_parameters()
     if set(manifest) != set(params):
         missing = set(params) - set(manifest)
         extra = set(manifest) - set(params)
         raise ValidationError(f"checkpoint parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, entry in manifest.items():
+        what = f"checkpoint manifest {manifest_path}: entry {name!r}"
         if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
                 and isinstance(entry.get("file"), str)):
-            raise ValidationError(
-                f"checkpoint manifest {manifest_path}: entry {name!r} must be an object "
-                "with a list 'shape' and a string 'file'"
-            )
+            raise ValidationError(f"{what} must be an object with a list 'shape' and a string 'file'")
+        filename = require_file_name(entry["file"], f"{what} 'file'")
         target = params[name]
         if list(target.shape) != entry["shape"]:
-            raise ValidationError(f"parameter {name} shape {entry['shape']} does not match {list(target.shape)}")
-        data = (ckpt_dir / entry["file"]).read_bytes()
+            raise ValidationError(f"{what} 'shape' {entry['shape']} does not match the model's {list(target.shape)}")
+        try:
+            data = (ckpt_dir / filename).read_bytes()
+        except FileNotFoundError as e:
+            raise ValidationError(f"{what} 'file' names a missing blob {filename!r}: {e.strerror}") from e
         if len(data) != target.size * 4:
-            raise ValidationError(f"parameter blob {entry['file']} has wrong size")
-        target[...] = np.frombuffer(data, dtype="<f4").reshape(target.shape).astype(dtype)
+            raise ValidationError(f"{what} 'file': blob {filename!r} holds {len(data)} bytes, "
+                                  f"expected {target.size * 4}")
+        target[...] = np.frombuffer(data, dtype="<f4").reshape(target.shape)
     return model
 
 

@@ -19,6 +19,10 @@ creates the gradient array alongside it) and each submodule with ``child``.
 dotted-name dicts (``encoder.0.attn.q_proj.W``), and ``zero_grad()`` zeroes
 every gradient. Updates mutate the arrays in place so the name -> array
 references stay valid.
+
+Every random initial value is drawn by :func:`init_uniform`. A layer built
+with ``rng=None`` draws nothing: its parameters are left uninitialised, for
+a caller (the checkpoint loader) that overwrites every one of them.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ def softmax_backward(weights: np.ndarray, d_weights: np.ndarray) -> np.ndarray:
     return weights * (d_weights - inner)
 
 
+def init_uniform(rng: np.random.Generator | None, bound: float, shape, dtype) -> np.ndarray:
+    """``rng.uniform(-bound, bound, shape)`` cast to ``dtype``; without a generator, ``np.empty``."""
+    if rng is None:
+        return np.empty(shape, dtype)
+    return rng.uniform(-bound, bound, shape).astype(dtype)
+
+
 class Module:
     """Registry of a module's parameters, their gradients and its named children."""
 
@@ -51,9 +62,15 @@ class Module:
         self.children: dict[str, Module] = {}
 
     def param(self, name: str, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Register ``value`` as parameter ``name``; returns it and its zeroed gradient."""
+        """Register ``value`` as parameter ``name``; returns it and its zeroed gradient.
+
+        The gradient comes from ``np.zeros``, whose calloc'd memory a large
+        array does not touch until the first backward pass writes it, so a
+        model that is only evaluated never touches most of its gradient
+        memory; ``np.zeros_like`` writes every byte up front.
+        """
         self.params[name] = value
-        self.grads[name] = grad = np.zeros_like(value)
+        self.grads[name] = grad = np.zeros(value.shape, value.dtype)
         return value, grad
 
     def child(self, name: str, module: Module) -> Module:
@@ -81,10 +98,9 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_in: int, d_out: int, dtype=np.float32):
         super().__init__()
-        bound = 1.0 / np.sqrt(d_in)
-        self.W, self.dW = self.param("W", rng.uniform(-bound, bound, (d_in, d_out)).astype(dtype))
+        self.W, self.dW = self.param("W", init_uniform(rng, 1.0 / np.sqrt(d_in), (d_in, d_out), dtype))
         self.b, self.db = self.param("b", np.zeros(d_out, dtype=dtype))
 
     # Leading axes are flattened so every product is one 2-D GEMM; a 3-D
@@ -136,7 +152,7 @@ class LayerNorm(Module):
 class MultiHeadAttention(Module):
     """Batched multi-head attention; query and key/value inputs may differ."""
 
-    def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, dtype=np.float32):
         super().__init__()
         if d_model % n_heads != 0:
             raise ValidationError(f"d_model={d_model} must be divisible by n_heads={n_heads}")
@@ -183,7 +199,7 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, rng: np.random.Generator, d_model: int, d_ff: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, d_ff: int, dtype=np.float32):
         super().__init__()
         self.lin1 = self.child("lin1", Linear(rng, d_model, d_ff, dtype))
         self.lin2 = self.child("lin2", Linear(rng, d_ff, d_model, dtype))
@@ -204,7 +220,7 @@ class FeedForward(Module):
 class TransformerLayer(Module):
     """Post-norm block: ``x`` attends over ``memory``, then feed-forward, residual each."""
 
-    def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, d_ff: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, d_ff: int, dtype=np.float32):
         super().__init__()
         self.attn = self.child("attn", MultiHeadAttention(rng, d_model, n_heads, dtype))
         self.ln1 = self.child("ln1", LayerNorm(d_model, dtype))

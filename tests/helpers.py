@@ -1,6 +1,10 @@
 """Shared test utilities: the brute-force edit oracle, the reference edit
-distance, gradient checking, single-clip attention, and the one-example
-reference sampler."""
+distance, gradient checking, single-clip attention, the one-example
+reference sampler, and run-output fingerprints."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -168,3 +172,21 @@ def reference_sample_candidates(verb_logits, noun_logits, K: int, temperature: f
             verb_rows.append(np.array([rng.choice(p_verb.shape[1], p=p_verb[z]) for z in range(Z)]))
             noun_rows.append(np.array([rng.choice(p_noun.shape[1], p=p_noun[z]) for z in range(Z)]))
     return np.stack(verb_rows), np.stack(noun_rows)
+
+
+def output_fingerprints(run_dir) -> dict[str, str]:
+    """sha256 of each output of a train + eval run, keyed by path relative to ``run_dir``.
+
+    Covers every file of ``checkpoint/`` (each parameter blob, ``config.json``
+    and ``params.json``), ``predictions.json``, ``report.json``, and
+    ``runlog.jsonl`` with ``wall_time``, the one field a rerun changes,
+    taken out of each record.
+    """
+    run_dir = Path(run_dir)
+    files = [*sorted((run_dir / "checkpoint").iterdir()), run_dir / "predictions.json", run_dir / "report.json"]
+    out = {str(path.relative_to(run_dir)): hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    records = [json.loads(line) for line in (run_dir / "runlog.jsonl").read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        del record["wall_time"]
+    out["runlog.jsonl"] = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    return out

@@ -226,7 +226,12 @@ def _set_first_id(payload, field, value):
     payload["examples"][min(payload["examples"])][field][0] = value
 
 
+def _set_clip_field(payload, clip_id, field, value):
+    next(clip for clip in payload["clips"] if clip["id"] == clip_id)[field] = value
+
+
 STORE = "data/store/manifest.json"
+PARAMS = "run/checkpoint/params.json"
 
 # case -> (file under the workspace, edit to its JSON, text its error message must hold)
 MALFORMED_FIELDS = {
@@ -254,6 +259,24 @@ MALFORMED_FIELDS = {
                                        "clips[0].frames_file"),
     "store_clip_video_file_null": (STORE, lambda p: p["clips"][0].update(video_file=None),
                                    "clips[0].video_file"),
+    # a blob name is a plain file name inside the manifest's directory, and the blob must exist
+    "manifest_file_outside": (PARAMS, lambda p: p["pos_embed"].update(file="../checkpoint/pos_embed.bin"),
+                              "'pos_embed' 'file'"),
+    "manifest_file_absolute": (PARAMS, lambda p: p["pos_embed"].update(file="/etc/hostname"),
+                               "'pos_embed' 'file'"),
+    "manifest_file_empty": (PARAMS, lambda p: p["pos_embed"].update(file=""), "'pos_embed' 'file'"),
+    "manifest_file_dot": (PARAMS, lambda p: p["pos_embed"].update(file="."), "'pos_embed' 'file'"),
+    "manifest_file_dotdot": (PARAMS, lambda p: p["pos_embed"].update(file=".."), "'pos_embed' 'file'"),
+    "manifest_file_missing": (PARAMS, lambda p: p["pos_embed"].update(file="absent.bin"),
+                              "'pos_embed' 'file'"),
+    "store_frames_file_outside": (STORE, lambda p: p["clips"][0].update(frames_file="../store/clip_000000.frames.bin"),
+                                  "clips[0].frames_file"),
+    "store_video_file_absolute": (STORE, lambda p: p["clips"][0].update(video_file="/etc/hostname"),
+                                  "clips[0].video_file"),
+    "store_frames_file_dot": (STORE, lambda p: p["clips"][0].update(frames_file="."), "clips[0].frames_file"),
+    # 16 training examples x 2 clips come first, so the first clip eval reads is clips[32]
+    "store_video_file_missing": (STORE, lambda p: _set_clip_field(p, "val_00000#0", "video_file", "absent.bin"),
+                                 "clips[32].video_file"),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -6,19 +7,23 @@ import pytest
 
 from cliplta import (
     FeatureStore,
+    LtaModel,
+    LtaModelConfig,
     SynthConfig,
     TrainConfig,
     ValidationError,
     generate,
     load_checkpoint,
     run_eval,
+    save_checkpoint,
     train,
 )
-from cliplta import harness
+from cliplta import harness, metrics
 from cliplta.harness import _predict_dataset, load_split
-from cliplta.metrics import read_ground_truth, write_ground_truth
+from cliplta.metrics import evaluate, read_ground_truth, write_ground_truth
 from cliplta.model import VARIANTS, read_predictions
 from cliplta.taxonomy import ActionLabel, GroundTruthSequence, load_taxonomy
+from helpers import output_fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +221,57 @@ class TestRunEval:
                           K=5, seed=1, out_dir=tmp_path / tag)[0].read_bytes() for tag in ("a", "b")]
         assert files[0] == files[1]
         assert len(json.loads(files[0])["predictions"]) == 70
+
+
+@pytest.fixture(scope="module")
+def variant_runs(synth, tmp_path_factory):
+    """variant -> the run directory of a short training run of that variant."""
+    root = tmp_path_factory.mktemp("variants")
+    for variant in VARIANTS:
+        train(train_config(synth, root / variant, variant=variant, n_heads_ca=2))
+    return {variant: root / variant for variant in VARIANTS}
+
+
+class TestEvalDoesEachStepOnce:
+    def test_in_memory_model_without_out_dir_rejected_before_loading(self, synth, trained, monkeypatch):
+        model = load_checkpoint(trained)
+        monkeypatch.setattr(harness, "load_split", lambda *args, **kwargs: pytest.fail("split loaded"))
+        with pytest.raises(ValidationError, match="out_dir is required"):
+            run_eval(model, synth.store_path, synth.gt_val_path, synth.taxonomy_path)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_report_is_scored_from_memory(self, synth, variant_runs, tmp_path, monkeypatch, variant):
+        calls = []
+
+        def spy(path):
+            calls.append(Path(path))
+            return read_predictions(path)
+
+        monkeypatch.setattr(metrics, "read_predictions", spy)
+        monkeypatch.setattr("cliplta.model.read_predictions", spy)
+        pred_file, _ = run_eval(variant_runs[variant] / "checkpoint", synth.store_path, synth.gt_val_path,
+                                synth.taxonomy_path, K=3, seed=2, out_dir=tmp_path)
+        assert calls == []
+        report = evaluate(pred_file, synth.gt_val_path, load_taxonomy(synth.taxonomy_path))
+        assert calls == [pred_file]   # the spy does see evaluate's read
+        expected = json.dumps(report.to_dict(), indent=2) + "\n"
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_checkpoint_path_and_in_memory_model_give_the_same_outputs(self, synth, variant_runs,
+                                                                       tmp_path, variant):
+        from_path = shutil.copytree(variant_runs[variant], tmp_path / "path")
+        from_memory = shutil.copytree(variant_runs[variant], tmp_path / "memory")
+        # the in-memory model is built with its random init, then given the trained values
+        ckpt = from_path / "checkpoint"
+        model = LtaModel(LtaModelConfig(**json.loads((ckpt / "config.json").read_text(encoding="utf-8"))))
+        for name, value in model.named_parameters().items():
+            value[...] = np.fromfile(ckpt / f"{name}.bin", dtype="<f4").reshape(value.shape)
+        save_checkpoint(model, from_memory / "checkpoint")
+        run_eval(ckpt, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2)
+        run_eval(model, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2,
+                 out_dir=from_memory)
+        assert output_fingerprints(from_path) == output_fingerprints(from_memory)
 
 
 class TestMalformedJson:

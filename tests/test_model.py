@@ -437,3 +437,30 @@ class TestCheckpointContract:
         for name, value in params.items():
             assert loaded[name].dtype == value.dtype and loaded[name].shape == value.shape, name
             assert loaded[name].tobytes() == value.tobytes(), name
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("load_checkpoint drew from a random generator")
+
+
+class TestLoadDrawsNothing:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant, learned_query", list(INIT_SHA256))
+    def test_parameters_come_from_the_blobs_alone(self, variant, learned_query, dtype, tmp_path, monkeypatch):
+        model = LtaModel(contract_config(variant, learned_query))
+        rng = np.random.default_rng(1)
+        for value in model.named_parameters().values():
+            value[...] = rng.standard_normal(value.shape)
+        save_checkpoint(model, tmp_path)
+        # Generator methods cannot be patched (the type is immutable), so every way of
+        # making a generator raises instead: default_rng, and the Generator class
+        # stub_embed builds its generators from
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", _refuse_to_draw)
+            m.setattr(np.random, "Generator", _refuse_to_draw)
+            loaded = load_checkpoint(tmp_path, dtype=dtype).named_parameters()
+        assert loaded.keys() == model.named_parameters().keys()
+        for name, value in loaded.items():
+            blob = np.fromfile(tmp_path / f"{name}.bin", dtype="<f4").reshape(value.shape)
+            assert value.dtype == dtype, name
+            assert value.tobytes() == blob.astype(dtype).tobytes(), name
