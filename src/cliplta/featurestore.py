@@ -5,19 +5,26 @@ manifest, so round-trips are exact for any finite float32 value (negative
 zero and denormals included) and the files can be produced by any language.
 Real CLIP / video-network features are written by an offline adapter in the
 same format; nothing in this package loads pretrained weights.
+
+Read contract: each blob must hold exactly its shape's float32 values
+(``(n_frames, c)`` frames, ``(d_video,)`` video), is read once straight into
+its final array by ``errors.read_blob``, and must be finite. A failed check
+is a ValidationError naming the manifest, the entry ``clips[i]`` and the
+field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, read_json_object, require, require_file_name
+from .errors import ValidationError, read_blob, read_json_object, require, require_file_name
 from .taxonomy import CATEGORIES, Taxonomy
 
 MANIFEST_NAME = "manifest.json"
@@ -37,7 +44,7 @@ class FrameEmbeddingSequence:
             raise ValidationError(
                 f"frames for clip {self.clip_id!r} must be a non-empty 2-d matrix, got shape {frames.shape}"
             )
-        if not np.all(np.isfinite(frames)):
+        if not np.isfinite(frames).all():
             raise ValidationError(f"frames for clip {self.clip_id!r} contain non-finite values")
         object.__setattr__(self, "frames", frames)
 
@@ -63,7 +70,7 @@ class VideoDescriptor:
             raise ValidationError(
                 f"video descriptor for clip {self.clip_id!r} must be a 1-d vector, got shape {vector.shape}"
             )
-        if not np.all(np.isfinite(vector)):
+        if not np.isfinite(vector).all():
             raise ValidationError(f"video descriptor for clip {self.clip_id!r} contains non-finite values")
         object.__setattr__(self, "vector", vector)
 
@@ -154,6 +161,7 @@ class FeatureStore:
 
     def __init__(self, root: Path, c: int | None, d_video: int | None, *, writable: bool):
         self.root = Path(root)
+        self._prefix = os.path.join(self.root, "")  # blob paths are this str plus a file name
         self.c = c
         self.d_video = d_video
         self._writable = writable
@@ -229,6 +237,9 @@ class FeatureStore:
         where = f"store manifest {manifest_path}"
         c = require(manifest.get("c"), int, f"{where}: 'c'")
         d_video = require(manifest.get("d_video"), int, f"{where}: 'd_video'")
+        for key, width in (("c", c), ("d_video", d_video)):
+            if width < 1:
+                raise ValidationError(f"{where}: '{key}' must be >= 1, got {width}")
         store = cls(root, c, d_video, writable=False)
         for i, entry in enumerate(require(manifest.get("clips"), list, f"{where}: 'clips'")):
             field = f"{where}: clips[{i}]"
@@ -249,30 +260,22 @@ class FeatureStore:
     def __contains__(self, clip_id: str) -> bool:
         return clip_id in self._clips
 
-    def _read_blob(self, entry: dict, field: str, expected: int) -> np.ndarray:
-        filename = entry[field]
+    def where(self, clip_id: str, field: str) -> str:
+        """Where ``field`` of clip ``clip_id`` sits in the manifest, for an error message."""
+        return f"store manifest {self.root / MANIFEST_NAME}: clips[{list(self._clips).index(clip_id)}].{field}"
+
+    def _read(self, clip_id: str, field: str, shape: tuple[int, ...], make):
+        """``make(clip_id, blob)`` for the blob ``field`` names; a failed check names the entry and field."""
         try:
-            data = (self.root / filename).read_bytes()
-        except FileNotFoundError as e:
-            index = list(self._clips).index(entry["id"])
-            raise ValidationError(
-                f"store manifest {self.root / MANIFEST_NAME}: clips[{index}].{field} "
-                f"names a missing blob {filename!r}: {e.strerror}"
-            ) from e
-        if len(data) != expected * 4:
-            raise NumericError(
-                f"blob {filename} is corrupt: {len(data)} bytes, expected {expected * 4}"
-            )
-        return np.frombuffer(data, dtype="<f4").copy()
+            return make(clip_id, read_blob(self._prefix + self._clips[clip_id][field], shape))
+        except ValidationError as e:
+            raise ValidationError(f"{self.where(clip_id, field)}: {e}") from e
 
     def read_clip(self, clip_id: str) -> tuple[FrameEmbeddingSequence, VideoDescriptor]:
         entry = self._clips.get(clip_id)
         if entry is None:
             raise ValidationError(f"unknown clip id {clip_id!r}")
-        n = entry["n_frames"]
-        frames = self._read_blob(entry, "frames_file", n * self.c).reshape(n, self.c)
-        video = self._read_blob(entry, "video_file", self.d_video)
         return (
-            FrameEmbeddingSequence(clip_id=clip_id, frames=frames),
-            VideoDescriptor(clip_id=clip_id, vector=video),
+            self._read(clip_id, "frames_file", (entry["n_frames"], self.c), FrameEmbeddingSequence),
+            self._read(clip_id, "video_file", (self.d_video,), VideoDescriptor),
         )

@@ -167,31 +167,28 @@ class Dataset:
 
 def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarray, noun_ids: np.ndarray,
                  n_input_clips: int) -> Dataset:
-    videos, frame_stacks = [], []
-    n_frames = None
-    for example_id in example_ids:
-        clip_frames, clip_videos = [], []
-        for t in range(n_input_clips):
+    """The clips of ``example_ids`` as one (B, T, N, c) frames and one (B, T, d_video) video array.
+
+    Both arrays are allocated once, from the first clip's shapes, and each
+    clip is copied into its slot. Every clip must hold the first clip's N.
+    """
+    B, T = len(example_ids), n_input_clips
+    frames = video = None
+    for b, example_id in enumerate(example_ids):
+        for t in range(T):
             clip_id = f"{example_id}#{t}"
-            frames, video = store.read_clip(clip_id)
-            if n_frames is None:
-                n_frames = frames.n_frames
-            elif frames.n_frames != n_frames:
+            clip_frames, clip_video = store.read_clip(clip_id)
+            if frames is None:
+                frames = np.empty((B, T) + clip_frames.frames.shape, clip_frames.frames.dtype)
+                video = np.empty((B, T) + clip_video.vector.shape, clip_video.vector.dtype)
+            elif clip_frames.n_frames != frames.shape[2]:
                 raise ValidationError(
-                    f"clip {clip_id!r} has {frames.n_frames} frames; expected {n_frames} "
-                    "(frames per clip must be constant for batching)"
+                    f"{store.where(clip_id, 'n_frames')} is {clip_frames.n_frames}; expected {frames.shape[2]} "
+                    f"like clip '{example_ids[0]}#0' (frames per clip must be constant for batching)"
                 )
-            clip_frames.append(frames.frames)
-            clip_videos.append(video.vector)
-        frame_stacks.append(np.stack(clip_frames))
-        videos.append(np.stack(clip_videos))
-    return Dataset(
-        example_ids=example_ids,
-        video=np.stack(videos),
-        frames=np.stack(frame_stacks),
-        verb_ids=verb_ids,
-        noun_ids=noun_ids,
-    )
+            frames[b, t] = clip_frames.frames
+            video[b, t] = clip_video.vector
+    return Dataset(example_ids=example_ids, video=video, frames=frames, verb_ids=verb_ids, noun_ids=noun_ids)
 
 
 def precompute_descriptors(dataset: Dataset, variant: str,

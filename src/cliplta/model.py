@@ -26,6 +26,7 @@ arrays; sampling takes one explicit seed per example.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import nn
 from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
-from .errors import NumericError, ValidationError, read_json_object, require, require_file_name
+from .errors import NumericError, ValidationError, read_blob, read_json_object, require, require_file_name
 from .featurestore import stub_embed
 
 
@@ -333,11 +334,13 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
 
     The model is built through ``LtaModel.__init__`` with ``init=False``, so
     loading draws no random init: each parameter is allocated once and filled
-    by decoding its ``<f4`` blob straight into it. The checks stay: the
-    config must be a valid :class:`LtaModelConfig`; the manifest must list
-    exactly the model's parameters, each with its shape and a plain file name
-    inside ``ckpt_dir``; each blob must exist and hold exactly that many
-    float32 values. A failed check raises ValidationError.
+    by one copy from its ``<f4`` blob, read by ``errors.read_blob``, the
+    store's reader. The checks stay: the config must be a valid
+    :class:`LtaModelConfig`; the manifest must list exactly the model's
+    parameters, each with its shape and a plain file name inside
+    ``ckpt_dir``; each blob must exist and hold exactly that many float32
+    values. A failed check raises ValidationError naming the manifest, the
+    entry and the field.
     """
     ckpt_dir = Path(ckpt_dir)
     config_path = ckpt_dir / CONFIG_FILE
@@ -355,6 +358,7 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
         missing = set(params) - set(manifest)
         extra = set(manifest) - set(params)
         raise ValidationError(f"checkpoint parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    prefix = os.path.join(ckpt_dir, "")
     for name, entry in manifest.items():
         what = f"checkpoint manifest {manifest_path}: entry {name!r}"
         if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
@@ -365,13 +369,9 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
         if list(target.shape) != entry["shape"]:
             raise ValidationError(f"{what} 'shape' {entry['shape']} does not match the model's {list(target.shape)}")
         try:
-            data = (ckpt_dir / filename).read_bytes()
-        except FileNotFoundError as e:
-            raise ValidationError(f"{what} 'file' names a missing blob {filename!r}: {e.strerror}") from e
-        if len(data) != target.size * 4:
-            raise ValidationError(f"{what} 'file': blob {filename!r} holds {len(data)} bytes, "
-                                  f"expected {target.size * 4}")
-        target[...] = np.frombuffer(data, dtype="<f4").reshape(target.shape)
+            target[...] = read_blob(prefix + filename, target.shape)
+        except ValidationError as e:
+            raise ValidationError(f"{what} 'file': {e}") from e
     return model
 
 

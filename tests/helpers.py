@@ -1,6 +1,6 @@
 """Shared test utilities: the brute-force edit oracle, the reference edit
 distance, gradient checking, single-clip attention, the one-example
-reference sampler, and run-output fingerprints."""
+reference sampler, the reference split loader, and run-output fingerprints."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ import numpy as np
 
 from cliplta import nn
 from cliplta.aggregate import cross_attention_forward
+from cliplta.harness import Dataset
 
 
 def attend(params, query, frames):
@@ -190,3 +191,35 @@ def output_fingerprints(run_dir) -> dict[str, str]:
         del record["wall_time"]
     out["runlog.jsonl"] = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     return out
+
+
+def reference_load_dataset(store_root, example_ids: list[str], verb_ids: np.ndarray, noun_ids: np.ndarray,
+                           n_input_clips: int) -> Dataset:
+    """The split as the loader built it before the one-read blob reader.
+
+    Each blob is read whole into a bytes object and decoded with
+    ``frombuffer(...).copy()``; each example's clips are stacked, then all
+    examples. Shares no read path with ``harness.load_dataset``.
+    """
+    store_root = Path(store_root)
+    manifest = json.loads((store_root / "manifest.json").read_text(encoding="utf-8"))
+    c, d_video = manifest["c"], manifest["d_video"]
+    entries = {entry["id"]: entry for entry in manifest["clips"]}
+
+    def read_blob(entry, field, expected):
+        data = (store_root / entry[field]).read_bytes()
+        assert len(data) == expected * 4
+        return np.frombuffer(data, dtype="<f4").copy()
+
+    videos, frame_stacks = [], []
+    for example_id in example_ids:
+        clip_frames, clip_videos = [], []
+        for t in range(n_input_clips):
+            entry = entries[f"{example_id}#{t}"]
+            n = entry["n_frames"]
+            clip_frames.append(read_blob(entry, "frames_file", n * c).reshape(n, c))
+            clip_videos.append(read_blob(entry, "video_file", d_video))
+        frame_stacks.append(np.stack(clip_frames))
+        videos.append(np.stack(clip_videos))
+    return Dataset(example_ids=example_ids, video=np.stack(videos), frames=np.stack(frame_stacks),
+                   verb_ids=verb_ids, noun_ids=noun_ids)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cliplta import cli
@@ -155,7 +156,7 @@ class TestExitCodes:
             "--clip", "no_such#0",
         ]) == 2
 
-    def test_corrupt_blob_is_3(self, workspace, tmp_path):
+    def test_corrupt_blob_is_2_and_named(self, workspace, tmp_path, capsys):
         import shutil
 
         store_copy = tmp_path / "store"
@@ -166,7 +167,9 @@ class TestExitCodes:
             "probe", "--store", str(store_copy),
             "--taxonomy", str(workspace / "data" / "taxonomy.json"),
             "--clip", "train_00000#0",
-        ]) == 3
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{store_copy / 'manifest.json'}: clips[0].frames_file: " in err and "holds 92 bytes" in err, err
 
     def test_out_of_range_ground_truth_id_is_2_before_training(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_train.json"
@@ -280,26 +283,63 @@ MALFORMED_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_FIELDS)
-def test_malformed_field_is_2_and_named(workspace, tmp_path, capsys, case):
+def _eval_copy_is_2(workspace, tmp_path, capsys, rel, change) -> str:
+    """``cliplta eval`` on a copy of the workspace whose file ``rel`` is ``change``d; its stderr."""
     import shutil
 
-    rel, change, field = MALFORMED_FIELDS[case]
     ckpt = shutil.copytree(workspace / "run" / "checkpoint", tmp_path / "run" / "checkpoint")
     store = shutil.copytree(workspace / "data" / "store", tmp_path / "data" / "store")
     gt = shutil.copy(workspace / "data" / "gt_val.json", tmp_path / "data" / "gt_val.json")
     target = tmp_path / rel
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    change(payload)
-    target.write_text(json.dumps(payload), encoding="utf-8")
+    target.write_bytes(change(target.read_bytes()))
     assert main([
         "eval", "--checkpoint", str(ckpt), "--store", str(store),
         "--gt", str(gt), "--taxonomy", str(workspace / "data" / "taxonomy.json"),
         "--out-dir", str(tmp_path / "e"),
     ]) == 2
     err = capsys.readouterr().err
-    assert str(target) in err and field in err, err
-    assert "runtime error" not in err
+    assert err.startswith("error: ") and "runtime error" not in err and "Traceback" not in err, err
+    return err
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+def test_malformed_field_is_2_and_named(workspace, tmp_path, capsys, case):
+    rel, change, field = MALFORMED_FIELDS[case]
+
+    def edit(text: bytes) -> bytes:
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload).encode("utf-8")
+
+    err = _eval_copy_is_2(workspace, tmp_path, capsys, rel, edit)
+    assert str(tmp_path / rel) in err and field in err, err
+
+
+def _nan_first_value(blob: bytes) -> bytes:
+    return np.float32(np.nan).tobytes() + blob[4:]
+
+
+# 16 training examples x 2 clips come first, so the first clip eval reads is clips[32]
+# case -> (blob under the workspace, edit to its bytes, manifest naming it, text its error message must hold)
+MALFORMED_BLOBS = {
+    "store_frames_cut": ("data/store/clip_000032.frames.bin", lambda b: b[:-4], STORE,
+                         "clips[32].frames_file: blob 'clip_000032.frames.bin' holds 92 bytes, expected 96"),
+    "store_video_long": ("data/store/clip_000032.video.bin", lambda b: b + b"\0", STORE,
+                         "clips[32].video_file: blob 'clip_000032.video.bin' holds 33 bytes, expected 32"),
+    "checkpoint_cut": ("run/checkpoint/pos_embed.bin", lambda b: b[:-4], PARAMS,
+                       "entry 'pos_embed' 'file': blob 'pos_embed.bin' holds 124 bytes, expected 128"),
+    "checkpoint_long": ("run/checkpoint/pos_embed.bin", lambda b: b + b"\0", PARAMS,
+                        "entry 'pos_embed' 'file': blob 'pos_embed.bin' holds 129 bytes, expected 128"),
+    "store_nan": ("data/store/clip_000032.frames.bin", _nan_first_value, STORE,
+                  "clips[32].frames_file: frames for clip 'val_00000#0' contain non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BLOBS)
+def test_malformed_blob_is_2_and_named(workspace, tmp_path, capsys, case):
+    rel, change, manifest, field = MALFORMED_BLOBS[case]
+    err = _eval_copy_is_2(workspace, tmp_path, capsys, rel, change)
+    assert f"{tmp_path / manifest}: " in err and field in err, err
 
 
 # case -> (file under the run directory, its new text, text its error message must hold)

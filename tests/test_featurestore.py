@@ -1,15 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from cliplta import (
     FeatureStore,
     FrameEmbeddingSequence,
-    NumericError,
     ValidationError,
     VideoDescriptor,
     build_text_table,
     stub_embed,
 )
+from cliplta.errors import read_blob
 
 
 class TestStubEmbed:
@@ -130,8 +132,47 @@ class TestStoreErrors:
         store.seal()
         blob = tmp_path / "s" / "clip_000000.frames.bin"
         blob.write_bytes(blob.read_bytes()[:-4])
-        with pytest.raises(NumericError, match="corrupt"):
+        where = re.escape(f"store manifest {tmp_path / 's' / 'manifest.json'}: clips[0].frames_file: ")
+        with pytest.raises(ValidationError, match=where + "blob 'clip_000000.frames.bin' holds 28 bytes, expected 32"):
             FeatureStore.open(tmp_path / "s").read_clip("a")
+
+    def test_long_blob_is_named(self, tmp_path):
+        store = FeatureStore.create(tmp_path / "s")
+        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip(*make_clip("b", np.ones((2, 4)), np.ones(3)))
+        store.seal()
+        blob = tmp_path / "s" / "clip_000001.video.bin"
+        blob.write_bytes(blob.read_bytes() + b"\0")
+        with pytest.raises(ValidationError, match=re.escape("clips[1].video_file: blob 'clip_000001.video.bin' "
+                                                            "holds 13 bytes, expected 12")):
+            FeatureStore.open(tmp_path / "s").read_clip("b")
+
+    @pytest.mark.parametrize("field, index", [("frames_file", 5), ("video_file", 2)])
+    def test_nonfinite_blob_names_entry(self, tmp_path, field, index):
+        store = FeatureStore.create(tmp_path / "s")
+        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.seal()
+        blob = tmp_path / "s" / ("clip_000000.frames.bin" if field == "frames_file" else "clip_000000.video.bin")
+        values = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+        values[index] = np.inf
+        blob.write_bytes(values.tobytes())
+        where = re.escape(f"store manifest {tmp_path / 's' / 'manifest.json'}: clips[0].{field}: ")
+        with pytest.raises(ValidationError, match=where + ".*non-finite"):
+            FeatureStore.open(tmp_path / "s").read_clip("a")
+
+    @pytest.mark.parametrize("key", ["c", "d_video"])
+    def test_nonpositive_width_is_named(self, tmp_path, key):
+        import json
+
+        store = FeatureStore.create(tmp_path / "s")
+        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.seal()
+        manifest = tmp_path / "s" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload[key] = -1
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(f"{manifest}: '{key}' must be >= 1")):
+            FeatureStore.open(tmp_path / "s")
 
     def test_sealed_store_rejects_writes(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
@@ -168,3 +209,45 @@ class TestTextTable:
         encoder = lambda prompt: stub_embed(3, prompt, 8)
         with pytest.raises(ValidationError, match="placeholder"):
             build_text_table(small_taxonomy, "noun", "{} and {}", encoder)
+
+
+class TestReadBlob:
+    def test_short_reads_are_retried(self, tmp_path):
+        # a pipe hands the reader each write separately, so the first readv stops short
+        import os
+        import threading
+        import time
+
+        values = np.arange(6, dtype="<f4")
+        fifo = tmp_path / "blob.fifo"
+        os.mkfifo(fifo)
+
+        def write_in_two_parts():
+            with open(fifo, "wb", buffering=0) as f:
+                f.write(values.tobytes()[:10])
+                time.sleep(0.05)
+                f.write(values.tobytes()[10:])
+
+        writer = threading.Thread(target=write_in_two_parts)
+        writer.start()
+        try:
+            got = read_blob(str(fifo), (2, 3))
+        finally:
+            # a second reader lets the writer finish even if read_blob failed before reading it all
+            fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=10)
+            os.close(fd)
+        assert not writer.is_alive()
+        assert got.tobytes() == values.tobytes() and got.shape == (2, 3)
+
+    def test_array_is_fresh_and_writable(self, tmp_path):
+        blob = tmp_path / "b.bin"
+        blob.write_bytes(np.arange(4, dtype="<f4").tobytes())
+        first = read_blob(str(blob), (4,))
+        assert first.flags.writeable and first.flags.owndata and first.dtype == np.dtype("<f4")
+        first[:] = -1
+        assert read_blob(str(blob), (4,)).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_missing_blob_is_named(self, tmp_path):
+        with pytest.raises(ValidationError, match="blob 'absent.bin' is missing"):
+            read_blob(str(tmp_path / "absent.bin"), (4,))

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -7,11 +8,13 @@ import pytest
 
 from cliplta import (
     FeatureStore,
+    FrameEmbeddingSequence,
     LtaModel,
     LtaModelConfig,
     SynthConfig,
     TrainConfig,
     ValidationError,
+    VideoDescriptor,
     generate,
     load_checkpoint,
     run_eval,
@@ -272,6 +275,19 @@ class TestEvalDoesEachStepOnce:
         run_eval(model, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2,
                  out_dir=from_memory)
         assert output_fingerprints(from_path) == output_fingerprints(from_memory)
+
+
+class TestLoadDataset:
+    def test_mixed_frame_counts_name_the_manifest_entry(self, tmp_path):
+        store = FeatureStore.create(tmp_path / "s")
+        for clip_id, n_frames in (("e#0", 3), ("e#1", 4)):
+            store.write_clip(FrameEmbeddingSequence(clip_id, np.ones((n_frames, 2))),
+                             VideoDescriptor(clip_id, np.ones(2)))
+        store.seal()
+        ids = np.zeros((1, 1), dtype=np.int64)
+        where = re.escape(f"store manifest {tmp_path / 's' / 'manifest.json'}: clips[1].n_frames is 4; expected 3")
+        with pytest.raises(ValidationError, match=where):
+            harness.load_dataset(FeatureStore.open(tmp_path / "s"), ["e"], ids, ids, 2)
 
 
 class TestMalformedJson:

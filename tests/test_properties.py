@@ -1,16 +1,20 @@
-"""Derandomized property tests of the batched sampler, the ED@(Z,K) scorer and
-the edit distance (a bounded metric, equal to the reference table).
+"""Derandomized property tests of the batched sampler, the ED@(Z,K) scorer,
+the edit distance (a bounded metric, equal to the reference table) and the
+store reader (byte-equal to the reference loader).
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as reproducible as the seeded ones.
 """
 
+import tempfile
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliplta import ed_at_zk, edit_distance, sample_candidates
-from helpers import reference_edit_distance, reference_sample_candidates
+from cliplta import FeatureStore, FrameEmbeddingSequence, VideoDescriptor, ed_at_zk, edit_distance, sample_candidates
+from cliplta.harness import load_dataset
+from helpers import reference_edit_distance, reference_load_dataset, reference_sample_candidates
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -93,3 +97,52 @@ def test_edit_distance_equals_reference_table(pair):
     a, b = pair
     assert edit_distance(a, b) == reference_edit_distance(a, b)
     assert edit_distance(b, a) == reference_edit_distance(b, a)
+
+
+F32 = np.finfo(np.float32)
+# -0.0, the smallest subnormal, the largest subnormal, the smallest normal and +-max
+EDGE_VALUES = np.array([-0.0, 1e-45, F32.smallest_normal - 1e-45, F32.smallest_normal, F32.max, -F32.max],
+                       dtype=np.float32)
+
+
+def _finite_float32(rng, shape) -> np.ndarray:
+    """Float32 values of any finite bit pattern; about one in eight is an edge value."""
+    values = rng.integers(0, 2**32, shape, dtype=np.uint32).view(np.float32)
+    values[~np.isfinite(values)] = 1.0
+    edge = rng.random(shape) < 0.125
+    values[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+    return values
+
+
+@PROPERTY
+@given(B=st.integers(1, 6), T=st.integers(1, 6), N=st.integers(1, 40), c=st.integers(2, 64),
+       d_video=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
+    B = max(1, min(B, 6 // T))  # 1-6 clips in all
+    rng = np.random.default_rng(seed)
+    frames = _finite_float32(rng, (B, T, N, c))
+    video = _finite_float32(rng, (B, T, d_video))
+    example_ids = [f"e{b}" for b in range(B)]
+    verb_ids = noun_ids = np.zeros((B, 1), dtype=np.int64)
+    with tempfile.TemporaryDirectory() as root:
+        store = FeatureStore.create(root)
+        for b, eid in enumerate(example_ids):
+            for t in range(T):
+                store.write_clip(FrameEmbeddingSequence(f"{eid}#{t}", frames[b, t]),
+                                 VideoDescriptor(f"{eid}#{t}", video[b, t]))
+        store.seal()
+        store = FeatureStore.open(root)
+        got = load_dataset(store, example_ids, verb_ids, noun_ids, T)
+        want = reference_load_dataset(root, example_ids, verb_ids, noun_ids, T)
+        for name in ("frames", "video"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert got.frames.tobytes() == frames.tobytes() and got.video.tobytes() == video.tobytes()
+        # each array read_clip returns is its own: writing into it leaves the next read unchanged
+        clip_frames, clip_video = store.read_clip("e0#0")
+        for array in (clip_frames.frames, clip_video.vector):
+            assert array.flags.writeable and array.flags.owndata
+            array[...] = 7.0
+        again_frames, again_video = store.read_clip("e0#0")
+        assert again_frames.frames.tobytes() == frames[0, 0].tobytes()
+        assert again_video.vector.tobytes() == video[0, 0].tobytes()
