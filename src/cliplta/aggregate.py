@@ -112,7 +112,7 @@ class CrossAttention(Module):
 
     W_q, W_k, W_v: (c, d_attn); W_o: (d_attn, c); no biases; symmetric-uniform
     init scaled by 1/sqrt(fan_in). d_attn must be divisible by n_heads.
-    :func:`cross_attention_backward` adds the projection gradients into
+    :func:`cross_attention_backward` writes the projection gradients into
     ``grads``. ``LtaModel`` also registers the query it attends with here,
     as ``query``.
     """
@@ -193,15 +193,16 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
                              d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward of the batched forward pass; d_out is (B, c).
 
-    Adds the W_q, W_k, W_v and W_o gradients into ``params.grads`` and
-    returns (d_query (c,), d_frames (B, N, c)); d_query is summed over the
-    batch because the query is shared.
+    Writes the W_q, W_k, W_v and W_o gradients into ``params.grads``,
+    overwriting what they held, and returns (d_query (c,), d_frames
+    (B, N, c)); d_query is summed over the batch because the query is
+    shared.
     """
     weights, Kh, Vh, qh = cache["weights"], cache["Kh"], cache["Vh"], cache["qh"]
     rows = cache["rows"]
     B, H, N, dh = Kh.shape
 
-    params.dW_o += cache["concat"].T @ d_out
+    np.matmul(cache["concat"].T, d_out, out=params.dW_o)
     d_heads = (d_out @ params.W_o.T).reshape(B, H, dh)
 
     d_weights = (Vh @ d_heads[..., None])[..., 0]           # (B, H, N)
@@ -210,12 +211,12 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
 
     dq = (d_scores[:, :, None, :] @ Kh).sum(axis=0).reshape(H * dh)
     dKh = d_scores[..., None] * qh[:, None, :]
-    params.dW_q += np.outer(cache["query"], dq)
+    np.outer(cache["query"], dq, out=params.dW_q)
     d_query = params.W_q @ dq
 
     dK, dV = _merge_heads(dKh), _merge_heads(dVh)           # (B*N, d_attn)
-    params.dW_k += rows.T @ dK
-    params.dW_v += rows.T @ dV
+    np.matmul(rows.T, dK, out=params.dW_k)
+    np.matmul(rows.T, dV, out=params.dW_v)
     d_frames = (dK @ params.W_k.T + dV @ params.W_v.T).reshape(B, N, -1)
     return d_query, d_frames
 

@@ -58,7 +58,7 @@ def require_file_name(value, what: str) -> str:
     directory, or at the directory itself.
     """
     name = require(value, str, what)
-    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
+    if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise ValidationError(f"{what} must be a plain file name inside its directory, got {name!r}")
     return name
 

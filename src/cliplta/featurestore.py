@@ -151,6 +151,22 @@ def build_text_table(
     return TextEmbeddingTable(category=category, embeddings=np.stack(rows), prompt_template=prompt_template)
 
 
+def _clip_entry_id(entry) -> str:
+    """The id of a manifest clip entry whose fields check out.
+
+    A failed check's message starts at the field (``.n_frames must be ...``,
+    or `` must be an object`` for the entry itself), for the caller to
+    prefix with the entry's location.
+    """
+    require(entry, dict, "")
+    clip_id = require(entry.get("id"), str, ".id")
+    if require(entry.get("n_frames"), int, ".n_frames") < 1:
+        raise ValidationError(f".n_frames must be >= 1, got {entry['n_frames']}")
+    require_file_name(entry.get("frames_file"), ".frames_file")
+    require_file_name(entry.get("video_file"), ".video_file")
+    return clip_id
+
+
 class FeatureStore:
     """Directory of per-clip blobs plus a manifest.
 
@@ -242,13 +258,11 @@ class FeatureStore:
                 raise ValidationError(f"{where}: '{key}' must be >= 1, got {width}")
         store = cls(root, c, d_video, writable=False)
         for i, entry in enumerate(require(manifest.get("clips"), list, f"{where}: 'clips'")):
-            field = f"{where}: clips[{i}]"
-            require(entry, dict, field)
-            clip_id = require(entry.get("id"), str, f"{field}.id")
-            if require(entry.get("n_frames"), int, f"{field}.n_frames") < 1:
-                raise ValidationError(f"{field}.n_frames must be >= 1, got {entry['n_frames']}")
-            require_file_name(entry.get("frames_file"), f"{field}.frames_file")
-            require_file_name(entry.get("video_file"), f"{field}.video_file")
+            try:
+                clip_id = _clip_entry_id(entry)
+            except ValidationError as e:
+                # the entry's location is built only for a failed check
+                raise ValidationError(f"{where}: clips[{i}]{e}") from e
             if clip_id in store._clips:
                 raise ValidationError(f"manifest lists clip {clip_id!r} twice")
             store._clips[clip_id] = entry

@@ -240,7 +240,7 @@ def _sgd_momentum_step(slots: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     """v = momentum * v - lr * g; p += v for every (p, g, v) slot, in place.
 
     Scales the gradients by lr in place, so the step allocates nothing; the
-    gradients are zeroed before the next backward pass reads them.
+    next backward pass overwrites every gradient, so nothing zeroes them.
     """
     for p, g, v in slots:
         v *= momentum
@@ -333,7 +333,6 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
             )
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_index}")
-            model.zero_grad()
             model.backward_batch(cache, d_verb, d_noun)
             _sgd_momentum_step(slots, lr, cfg.momentum)
             epoch_losses.append(loss)

@@ -235,20 +235,25 @@ class LtaModel(nn.Module):
         return verb_logits, noun_logits, (ca_cache, enc_caches, c_dec, c_vh, c_nh)
 
     def backward_batch(self, cache, d_verb: np.ndarray, d_noun: np.ndarray) -> None:
-        """Accumulate every parameter gradient of the batch."""
+        """Write every parameter gradient of the batch, overwriting the last step's.
+
+        Each module's ``backward`` runs exactly once here and writes its own
+        gradients, so no gradient needs zeroing first and none is summed
+        over two calls.
+        """
         ca_cache, enc_caches, c_dec, c_vh, c_nh = cache
         dy = self.verb_head.backward(c_vh, d_verb) + self.noun_head.backward(c_nh, d_noun)
         dqb, dx = self.decoder.backward(c_dec, dy)
-        self._d_step_queries += dqb.sum(axis=0)
+        dqb.sum(axis=0, out=self._d_step_queries)
         for layer, c in zip(reversed(self.encoder), reversed(enc_caches)):
             dx, d_memory = layer.backward(c, dx)
             dx = dx + d_memory
-        self._d_pos_embed += dx.sum(axis=0)
+        dx.sum(axis=0, out=self._d_pos_embed)
         if ca_cache is not None:
             B, T, _ = dx.shape
             d_clip = dx[..., -self.config.c:].reshape(B * T, -1)
             d_query, _ = cross_attention_backward(self.aggregator, ca_cache, d_clip)
-            self.aggregator.grads["query"] += d_query
+            self.aggregator.grads["query"][...] = d_query
 
 
 def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,

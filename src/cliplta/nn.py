@@ -2,10 +2,13 @@
 
 Everything is plain numpy. Every layer follows one protocol: ``forward``
 returns ``(output, cache)``, and ``backward(cache, d_out)`` returns one
-gradient per input (a tuple when the forward takes several) and adds its
-parameter gradients into its own registry. No caller adds a module's
-parameter gradients for it. Training is single-writer, so gradient
-accumulation needs no locking; call ``zero_grad()`` between steps.
+gradient per input (a tuple when the forward takes several) and *writes*
+its parameter gradients into its own registry, overwriting what the last
+step left there. No caller writes a module's parameter gradients for it,
+and nothing zeroes them between steps. This rests on one invariant: each
+module's ``backward`` runs exactly once per ``LtaModel.backward_batch``
+(every layer, head and aggregator is a distinct module), so gradients are
+never summed over two calls.
 
 :class:`TransformerLayer` is the one transformer block: ``forward(x,
 memory)`` lets ``x`` attend over ``memory``. The encoder calls it with
@@ -16,9 +19,10 @@ from :class:`Module`, which holds the one parameter registry. A module
 registers, in its ``__init__``, each parameter array with ``param`` (which
 creates the gradient array alongside it) and each submodule with ``child``.
 ``named_parameters()`` / ``named_grads()`` walk that registry into flat
-dotted-name dicts (``encoder.0.attn.q_proj.W``), and ``zero_grad()`` zeroes
-every gradient. Updates mutate the arrays in place so the name -> array
-references stay valid.
+dotted-name dicts (``encoder.0.attn.q_proj.W``). ``zero_grad()`` zeroes
+every gradient; it is not part of a training step, and stays only because
+the benchmark's tracer wraps it. Updates mutate the arrays in place so the
+name -> array references stay valid.
 
 Every random initial value is drawn by :func:`init_uniform`. A layer built
 with ``rng=None`` draws nothing: its parameters are left uninitialised, for
@@ -91,6 +95,7 @@ class Module:
         return {name: grad for name, _, grad in self._walk()}
 
     def zero_grad(self) -> None:
+        """Zero every gradient. No training step needs it: each backward overwrites its gradients."""
         for grad in self.grads.values():
             grad[...] = 0
         for module in self.children.values():
@@ -115,8 +120,8 @@ class Linear(Module):
         x = cache
         d_in, d_outw = self.W.shape
         g = d_out.reshape(-1, d_outw)
-        self.dW += x.reshape(-1, d_in).T @ g
-        self.db += g.sum(axis=0)
+        np.matmul(x.reshape(-1, d_in).T, g, out=self.dW)
+        g.sum(axis=0, out=self.db)
         return (g @ self.W.T).reshape(x.shape)
 
 
@@ -127,10 +132,14 @@ class LayerNorm(Module):
         self.beta, self.dbeta = self.param("beta", np.zeros(d, dtype=dtype))
         self.eps = eps
 
+    # sum / d rather than mean: the same bytes (mean rounds a float64
+    # quotient to float32, which equals the float32 quotient) at less
+    # per-call overhead
     def forward(self, x: np.ndarray):
-        mu = x.mean(axis=-1, keepdims=True)
+        d = x.shape[-1]
+        mu = x.sum(axis=-1, keepdims=True) / d
         xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
+        var = (xc * xc).sum(axis=-1, keepdims=True) / d
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = xc * inv
         return self.gamma * xhat + self.beta, (xhat, inv)
@@ -138,8 +147,8 @@ class LayerNorm(Module):
     def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
         xhat, inv = cache
         d = xhat.shape[-1]
-        self.dgamma += (d_out * xhat).reshape(-1, d).sum(axis=0)
-        self.dbeta += d_out.reshape(-1, d).sum(axis=0)
+        (d_out * xhat).reshape(-1, d).sum(axis=0, out=self.dgamma)
+        d_out.reshape(-1, d).sum(axis=0, out=self.dbeta)
         dxhat = d_out * self.gamma
         # standard layernorm input gradient over the last axis
         return inv / d * (

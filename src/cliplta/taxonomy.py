@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, read_json_object
+from .errors import ValidationError, read_json_object, require
 
 CATEGORIES = ("verb", "noun", "scenario", "place")
 
@@ -24,16 +24,16 @@ _CATEGORY_TO_KEY = {
 }
 
 
-def _check_vocab(name: str, entries: list[str]) -> tuple[str, ...]:
+def _check_vocab(what: str, entries) -> tuple[str, ...]:
+    """``entries`` as a tuple of distinct, non-blank strings; a failed check names ``what`` and the index."""
     if not entries:
-        raise ValidationError(f"taxonomy list '{name}' is empty")
-    seen = set()
-    for entry in entries:
-        if not isinstance(entry, str) or not entry.strip():
-            raise ValidationError(f"taxonomy list '{name}' contains a blank entry")
-        if entry in seen:
-            raise ValidationError(f"duplicate entry {entry!r} in taxonomy list '{name}'")
-        seen.add(entry)
+        raise ValidationError(f"{what} is empty")
+    first: dict[str, int] = {}
+    for i, entry in enumerate(entries):
+        if not require(entry, str, f"{what}[{i}]").strip():
+            raise ValidationError(f"{what}[{i}] is blank")
+        if first.setdefault(entry, i) != i:
+            raise ValidationError(f"{what}[{i}] {entry!r} duplicates [{first[entry]}]")
     return tuple(entries)
 
 
@@ -47,10 +47,8 @@ class Taxonomy:
     places: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "verbs", _check_vocab("verbs", list(self.verbs)))
-        object.__setattr__(self, "nouns", _check_vocab("nouns", list(self.nouns)))
-        object.__setattr__(self, "scenarios", _check_vocab("scenarios", list(self.scenarios)))
-        object.__setattr__(self, "places", _check_vocab("places", list(self.places)))
+        for key in _CATEGORY_TO_KEY.values():
+            object.__setattr__(self, key, _check_vocab(f"taxonomy list '{key}'", getattr(self, key)))
 
     def vocab(self, category: str) -> tuple[str, ...]:
         """Entries for one of 'verb', 'noun', 'scenario', 'place'."""
@@ -98,23 +96,20 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """Read a taxonomy JSON file ({"verbs": [...], "nouns": [...], ...}).
 
     File order defines the ids, so loading the same file twice always yields
-    identical ids.
+    identical ids. Each key must hold a non-empty array of distinct,
+    non-blank strings; a failed check names the file, the key and the index.
     """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"taxonomy file not found: {path}")
     raw = read_json_object(path, "taxonomy file")
-    for key in ("verbs", "nouns", "scenarios", "places"):
+    vocabs = {}
+    for key in _CATEGORY_TO_KEY.values():
         if key not in raw:
             raise ValidationError(f"taxonomy file {path} is missing key '{key}'")
-        if not isinstance(raw[key], list):
-            raise ValidationError(f"taxonomy key '{key}' must be an array of strings")
-    return Taxonomy(
-        verbs=tuple(raw["verbs"]),
-        nouns=tuple(raw["nouns"]),
-        scenarios=tuple(raw["scenarios"]),
-        places=tuple(raw["places"]),
-    )
+        what = f"taxonomy file {path}: '{key}'"
+        vocabs[key] = _check_vocab(what, require(raw[key], list, what))
+    return Taxonomy(**vocabs)
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:

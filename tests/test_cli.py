@@ -235,6 +235,7 @@ def _set_clip_field(payload, clip_id, field, value):
 
 STORE = "data/store/manifest.json"
 PARAMS = "run/checkpoint/params.json"
+TAXONOMY = "data/taxonomy.json"
 
 # case -> (file under the workspace, edit to its JSON, text its error message must hold)
 MALFORMED_FIELDS = {
@@ -280,6 +281,15 @@ MALFORMED_FIELDS = {
     # 16 training examples x 2 clips come first, so the first clip eval reads is clips[32]
     "store_video_file_missing": (STORE, lambda p: _set_clip_field(p, "val_00000#0", "video_file", "absent.bin"),
                                  "clips[32].video_file"),
+    # eval loads the taxonomy before the ground truth checks its hash
+    "taxonomy_verb_not_string": (TAXONOMY, lambda p: p["verbs"].__setitem__(0, 3), "'verbs'[0] must be a string"),
+    "taxonomy_verb_blank": (TAXONOMY, lambda p: p["verbs"].__setitem__(2, " "), "'verbs'[2] is blank"),
+    "taxonomy_noun_duplicate": (TAXONOMY, lambda p: p["nouns"].__setitem__(1, p["nouns"][0]),
+                                "'nouns'[1]"),
+    "taxonomy_places_empty": (TAXONOMY, lambda p: p.update(places=[]), "'places' is empty"),
+    "taxonomy_scenarios_not_array": (TAXONOMY, lambda p: p.update(scenarios="cooking"),
+                                     "'scenarios' must be a list"),
+    "taxonomy_without_nouns": (TAXONOMY, lambda p: p.pop("nouns"), "'nouns'"),
 }
 
 
@@ -290,11 +300,12 @@ def _eval_copy_is_2(workspace, tmp_path, capsys, rel, change) -> str:
     ckpt = shutil.copytree(workspace / "run" / "checkpoint", tmp_path / "run" / "checkpoint")
     store = shutil.copytree(workspace / "data" / "store", tmp_path / "data" / "store")
     gt = shutil.copy(workspace / "data" / "gt_val.json", tmp_path / "data" / "gt_val.json")
+    taxonomy = shutil.copy(workspace / TAXONOMY, tmp_path / TAXONOMY)
     target = tmp_path / rel
     target.write_bytes(change(target.read_bytes()))
     assert main([
         "eval", "--checkpoint", str(ckpt), "--store", str(store),
-        "--gt", str(gt), "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+        "--gt", str(gt), "--taxonomy", str(taxonomy),
         "--out-dir", str(tmp_path / "e"),
     ]) == 2
     err = capsys.readouterr().err

@@ -156,6 +156,15 @@ class TestTrain:
         assert len(steps) == 6  # 24 examples in batches of 4
         assert all(p.dtype == v.dtype == np.float32 for p, _, v in steps[-1])
 
+    def test_train_never_zeroes_gradients(self, synth, tmp_path, monkeypatch):
+        # every backward pass overwrites the gradients, so a step needs no zeroing
+        def refuse(self):
+            raise AssertionError("train zeroed the gradients")
+
+        monkeypatch.setattr(LtaModel, "zero_grad", refuse)
+        for variant in VARIANTS:
+            train(train_config(synth, tmp_path / variant, variant=variant, epochs=1, n_heads_ca=2))
+
 
 @pytest.fixture(scope="module")
 def trained(synth, tmp_path_factory):

@@ -148,6 +148,25 @@ class TestForward:
             assert max_rel_err(grads[name], numeric) < 1e-4, f"{variant}:{name}"
 
 
+class TestGradientsAreWrittenOnce:
+    """backward_batch overwrites every parameter gradient, so stale values never reach a step."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stale_gradients_do_not_leak_into_the_next_backward(self, variant, rng):
+        cfg = tiny_config(variant, learned_query=True)
+        model = LtaModel(cfg)
+        v, n, cache = model.forward_batch(make_batch(cfg, rng, B=3))
+        _, dv, dn = batch_loss_and_grads(v, n, rng.integers(0, cfg.n_verbs, (3, cfg.Z)),
+                                         rng.integers(0, cfg.n_nouns, (3, cfg.Z)))
+        model.zero_grad()
+        model.backward_batch(cache, dv, dn)
+        after_zeroing = {name: grad.tobytes() for name, grad in model.named_grads().items()}
+        for grad in model.named_grads().values():
+            grad.fill(np.nan)
+        model.backward_batch(cache, dv, dn)
+        assert {name: grad.tobytes() for name, grad in model.named_grads().items()} == after_zeroing
+
+
 def cached_arrays(obj):
     """Every ndarray inside a nested forward cache."""
     if isinstance(obj, np.ndarray):
