@@ -30,7 +30,9 @@ def _check_vocab(what: str, entries) -> tuple[str, ...]:
         raise ValidationError(f"{what} is empty")
     first: dict[str, int] = {}
     for i, entry in enumerate(entries):
-        if not require(entry, str, f"{what}[{i}]").strip():
+        if not isinstance(entry, str):
+            raise ValidationError(f"{what}[{i}] must be a string, got {entry!r}")
+        if not entry.strip():
             raise ValidationError(f"{what}[{i}] is blank")
         if first.setdefault(entry, i) != i:
             raise ValidationError(f"{what}[{i}] {entry!r} duplicates [{first[entry]}]")
