@@ -56,7 +56,7 @@ print(f"img_text_concat   -> width {concat.shape[-1]} (= 5 x {C}: image block + 
 params = CrossAttention(rng, c=C, d_attn=C, n_heads=4)
 query = stub_embed(100, "a video of a person performing an action", C)
 out, cache = cross_attention_forward(params, query, frames[None])
-attended, weights = out[0], cache["weights"][0]
+attended, weights = out[0], cache["weights"][0, :, 0]   # (H, N): one query row per head
 print(f"cross_attention   -> width {attended.shape[-1]}, "
       f"per-head weights shape {weights.shape}, row sums {weights.sum(axis=1).round(6)}")
 print("  (at random init the weights are near-uniform; training moves them"

@@ -23,14 +23,13 @@ probe of individual frames.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .featurestore import TextEmbeddingTable
-from .nn import Module, init_uniform, softmax, softmax_backward
+from .nn import Module, attention, attention_backward, init_uniform, merge_heads, split_heads
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
@@ -133,23 +132,19 @@ class CrossAttention(Module):
     def c(self) -> int:
         return self.W_q.shape[0]
 
-    @property
-    def d_head(self) -> int:
-        return self.W_q.shape[1] // self.n_heads
-
 
 def cross_attention_forward(params: CrossAttention, query: np.ndarray,
                             frames: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched forward pass; frames has shape (B, N, c), query (c,).
 
-    Per head h the frames are projected into keys and values, the projected
-    query scores every key, and softmax(q_h . K_h^T / sqrt(d_head)) weights
-    the values. Head outputs are concatenated and projected back to width c.
-    The projections run as 2-D GEMMs over all B*N frames; the per-head
-    products are batched matmuls over (B, H).
+    The query and the frames are projected, :func:`cliplta.nn.attention`
+    lets the one query row of each head (H, 1, d_head), broadcast over the
+    batch, attend over the frames' keys and values, and the merged heads
+    are projected back to width c. The projections run as 2-D GEMMs over
+    all B*N frames.
 
     Returns (descriptors (B, c), cache) where the cache carries everything
-    the backward pass needs, including the attention weights (B, H, N).
+    the backward pass needs, including the attention weights (B, H, 1, N).
     """
     query = np.asarray(query)
     frames = np.asarray(frames)
@@ -160,33 +155,20 @@ def cross_attention_forward(params: CrossAttention, query: np.ndarray,
         raise ValidationError(f"query must have shape ({c},), got {query.shape}")
     if c != params.c:
         raise ValidationError(f"frame width {c} does not match attention params width {params.c}")
-    H, dh = params.n_heads, params.d_head
+    H = params.n_heads
 
     rows = frames.reshape(B * N, c)
-    qh = (query @ params.W_q).reshape(H, dh)
-    Kh = _split_heads(rows @ params.W_k, B, N, H)           # (B, H, N, dh)
-    Vh = _split_heads(rows @ params.W_v, B, N, H)
-    # a Python-float divisor keeps float32 scores in float32
-    scores = (Kh @ qh[:, :, None])[..., 0] / math.sqrt(dh)  # (B, H, N)
-    weights = softmax(scores)
-    concat = (weights[:, :, None, :] @ Vh).reshape(B, H * dh)
+    Qh = split_heads((query @ params.W_q)[None], H)         # (H, 1, dh)
+    Kh = split_heads((rows @ params.W_k).reshape(B, N, -1), H)   # (B, H, N, dh)
+    Vh = split_heads((rows @ params.W_v).reshape(B, N, -1), H)
+    ctx, weights = attention(Qh, Kh, Vh)
+    concat = merge_heads(ctx).reshape(B, -1)
     out = concat @ params.W_o                   # (B, c)
     cache = {
-        "query": query, "rows": rows, "qh": qh, "Kh": Kh, "Vh": Vh,
+        "query": query, "rows": rows, "Qh": Qh, "Kh": Kh, "Vh": Vh,
         "weights": weights, "concat": concat,
     }
     return out, cache
-
-
-def _split_heads(x: np.ndarray, B: int, N: int, H: int) -> np.ndarray:
-    """(B*N, H*dh) -> (B, H, N, dh) view."""
-    return x.reshape(B, N, H, -1).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(B, H, N, dh) -> (B*N, H*dh)."""
-    B, H, N, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B * N, H * dh)
 
 
 def cross_attention_backward(params: CrossAttention, cache: dict,
@@ -198,23 +180,18 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
     (B, N, c)); d_query is summed over the batch because the query is
     shared.
     """
-    weights, Kh, Vh, qh = cache["weights"], cache["Kh"], cache["Vh"], cache["qh"]
-    rows = cache["rows"]
-    B, H, N, dh = Kh.shape
+    Qh, Kh, Vh, rows = cache["Qh"], cache["Kh"], cache["Vh"], cache["rows"]
+    B, H, N, _ = Kh.shape
 
     np.matmul(cache["concat"].T, d_out, out=params.dW_o)
-    d_heads = (d_out @ params.W_o.T).reshape(B, H, dh)
+    d_ctx = split_heads((d_out @ params.W_o.T)[:, None], H)  # (B, H, 1, dh)
+    dQh, dKh, dVh = attention_backward(Qh, Kh, Vh, cache["weights"], d_ctx)
 
-    d_weights = (Vh @ d_heads[..., None])[..., 0]           # (B, H, N)
-    dVh = weights[..., None] * d_heads[:, :, None, :]       # (B, H, N, dh)
-    d_scores = softmax_backward(weights, d_weights) / math.sqrt(dh)
-
-    dq = (d_scores[:, :, None, :] @ Kh).sum(axis=0).reshape(H * dh)
-    dKh = d_scores[..., None] * qh[:, None, :]
+    dq = dQh.sum(axis=0).reshape(-1)
     np.outer(cache["query"], dq, out=params.dW_q)
     d_query = params.W_q @ dq
 
-    dK, dV = _merge_heads(dKh), _merge_heads(dVh)           # (B*N, d_attn)
+    dK, dV = merge_heads(dKh).reshape(B * N, -1), merge_heads(dVh).reshape(B * N, -1)
     np.matmul(rows.T, dK, out=params.dW_k)
     np.matmul(rows.T, dV, out=params.dW_v)
     d_frames = (dK @ params.W_k.T + dV @ params.W_v.T).reshape(B, N, -1)

@@ -248,9 +248,9 @@ class FeatureStore:
         if not manifest_path.is_file():
             raise ValidationError(f"no sealed store at {root} (missing {MANIFEST_NAME})")
         manifest = read_json_object(manifest_path, "store manifest")
-        if manifest.get("dtype") != DTYPE_TAG:
-            raise ValidationError(f"unsupported store dtype {manifest.get('dtype')!r}")
         where = f"store manifest {manifest_path}"
+        if manifest.get("dtype") != DTYPE_TAG:
+            raise ValidationError(f"{where}: 'dtype' must be {DTYPE_TAG!r}, got {manifest.get('dtype')!r}")
         c = require(manifest.get("c"), int, f"{where}: 'c'")
         d_video = require(manifest.get("d_video"), int, f"{where}: 'd_video'")
         for key, width in (("c", c), ("d_video", d_video)):
@@ -264,12 +264,10 @@ class FeatureStore:
                 # the entry's location is built only for a failed check
                 raise ValidationError(f"{where}: clips[{i}]{e}") from e
             if clip_id in store._clips:
-                raise ValidationError(f"manifest lists clip {clip_id!r} twice")
+                first = list(store._clips).index(clip_id)
+                raise ValidationError(f"{where}: clips[{i}].id {clip_id!r} repeats clips[{first}].id")
             store._clips[clip_id] = entry
         return store
-
-    def clip_ids(self) -> list[str]:
-        return list(self._clips.keys())
 
     def __contains__(self, clip_id: str) -> bool:
         return clip_id in self._clips

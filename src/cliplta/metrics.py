@@ -197,9 +197,9 @@ def read_ground_truth(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarr
     if not path.is_file():
         raise ValidationError(f"ground truth file not found: {path}")
     payload = read_json_object(path, "ground truth file")
-    if payload.get("version") != 1:
-        raise ValidationError(f"unsupported ground truth file version {payload.get('version')!r}")
     what = f"ground truth file {path}"
+    if payload.get("version") != 1:
+        raise ValidationError(f"{what}: 'version' must be 1, got {payload.get('version')!r}")
     Z = require(payload.get("Z"), int, f"{what}: 'Z'")
     if Z < 1:
         raise ValidationError(f"{what}: 'Z' must be >= 1, got {Z}")

@@ -360,9 +360,10 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
     model = LtaModel(config, dtype=dtype, init=False)
     params = model.named_parameters()
     if set(manifest) != set(params):
-        missing = set(params) - set(manifest)
-        extra = set(manifest) - set(params)
-        raise ValidationError(f"checkpoint parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        missing = sorted(set(params) - set(manifest))
+        extra = sorted(set(manifest) - set(params))
+        raise ValidationError(f"checkpoint manifest {manifest_path}: no entry for parameters {missing}, "
+                              f"entries for no parameter {extra}")
     prefix = os.path.join(ckpt_dir, "")
     for name, entry in manifest.items():
         what = f"checkpoint manifest {manifest_path}: entry {name!r}"
@@ -419,9 +420,9 @@ def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarra
     if not path.is_file():
         raise ValidationError(f"prediction file not found: {path}")
     payload = read_json_object(path, "prediction file")
-    if payload.get("version") != 1:
-        raise ValidationError(f"unsupported prediction file version {payload.get('version')!r}")
     what = f"prediction file {path}"
+    if payload.get("version") != 1:
+        raise ValidationError(f"{what}: 'version' must be 1, got {payload.get('version')!r}")
     Z = require(payload.get("Z"), int, f"{what}: 'Z'")
     K = require(payload.get("K"), int, f"{what}: 'K'")
     if Z < 1 or K < 1:

@@ -10,6 +10,12 @@ module's ``backward`` runs exactly once per ``LtaModel.backward_batch``
 (every layer, head and aggregator is a distinct module), so gradients are
 never summed over two calls.
 
+:func:`attention` / :func:`attention_backward` are the one attention math
+(scaled scores, softmax, weighted values and their backward) over heads
+that :func:`split_heads` and :func:`merge_heads` lay out.
+:class:`MultiHeadAttention` and the cross-attention aggregator of
+:mod:`cliplta.aggregate` both call them.
+
 :class:`TransformerLayer` is the one transformer block: ``forward(x,
 memory)`` lets ``x`` attend over ``memory``. The encoder calls it with
 ``memory = x``, the decoder with the encoder output.
@@ -42,12 +48,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_backward(weights: np.ndarray, d_weights: np.ndarray) -> np.ndarray:
-    """JVP of softmax along the last axis; rows are probability vectors."""
-    inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
-    return weights * (d_weights - inner)
 
 
 def init_uniform(rng: np.random.Generator | None, bound: float, shape, dtype) -> np.ndarray:
@@ -158,6 +158,39 @@ class LayerNorm(Module):
         )
 
 
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, H*dh) -> (..., H, T, dh) view."""
+    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., H, T, dh) -> (..., T, H*dh); the inverse of :func:`split_heads`."""
+    *lead, H, T, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, T, H * dh)
+
+
+def attention(Qh: np.ndarray, Kh: np.ndarray, Vh: np.ndarray):
+    """Scaled dot-product attention per head: returns (ctx, A).
+
+    Qh (..., H, Tq, dh) scores the keys Kh (..., H, Tk, dh); the weights
+    A = softmax(Qh Kh^T / sqrt(dh)) of shape (..., H, Tq, Tk) average the
+    values Vh into ctx (..., H, Tq, dh). Leading axes broadcast, so one
+    query row (H, 1, dh) can serve a whole batch of keys.
+    """
+    # a Python-float divisor keeps float32 scores in float32
+    A = softmax(Qh @ Kh.swapaxes(-1, -2) / math.sqrt(Qh.shape[-1]))
+    return A @ Vh, A
+
+
+def attention_backward(Qh: np.ndarray, Kh: np.ndarray, Vh: np.ndarray, A: np.ndarray, d_ctx: np.ndarray):
+    """Backward of :func:`attention`: returns (dQh, dKh, dVh) in the broadcast shape."""
+    dA = d_ctx @ Vh.swapaxes(-1, -2)
+    dVh = A.swapaxes(-1, -2) @ d_ctx
+    # softmax's backward along the key axis, then the scale
+    dS = A * (dA - np.sum(A * dA, axis=-1, keepdims=True)) / math.sqrt(Qh.shape[-1])
+    return dS @ Kh, dS.swapaxes(-1, -2) @ Qh, dVh
+
+
 class MultiHeadAttention(Module):
     """Batched multi-head attention; query and key/value inputs may differ."""
 
@@ -166,44 +199,28 @@ class MultiHeadAttention(Module):
         if d_model % n_heads != 0:
             raise ValidationError(f"d_model={d_model} must be divisible by n_heads={n_heads}")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.q_proj = self.child("q_proj", Linear(rng, d_model, d_model, dtype))
         self.k_proj = self.child("k_proj", Linear(rng, d_model, d_model, dtype))
         self.v_proj = self.child("v_proj", Linear(rng, d_model, d_model, dtype))
         self.o_proj = self.child("o_proj", Linear(rng, d_model, d_model, dtype))
 
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        B, T, _ = x.shape
-        return x.reshape(B, T, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
-
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        B, H, T, dh = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
-
     def forward(self, q_in: np.ndarray, kv_in: np.ndarray):
         Q, cq = self.q_proj.forward(q_in)
         K, ck = self.k_proj.forward(kv_in)
         V, cv = self.v_proj.forward(kv_in)
-        Qh, Kh, Vh = self._split(Q), self._split(K), self._split(V)
-        # a Python-float divisor keeps float32 scores in float32
-        scores = Qh @ Kh.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
-        A = softmax(scores)
-        ctx = A @ Vh
-        out, co = self.o_proj.forward(self._merge(ctx))
+        Qh, Kh, Vh = (split_heads(x, self.n_heads) for x in (Q, K, V))
+        ctx, A = attention(Qh, Kh, Vh)
+        out, co = self.o_proj.forward(merge_heads(ctx))
         return out, (cq, ck, cv, co, Qh, Kh, Vh, A)
 
     def backward(self, cache, d_out: np.ndarray):
         """Returns (d_q_in, d_kv_in)."""
         cq, ck, cv, co, Qh, Kh, Vh, A = cache
-        d_ctx = self._split(self.o_proj.backward(co, d_out))
-        dA = d_ctx @ Vh.transpose(0, 1, 3, 2)
-        dVh = A.transpose(0, 1, 3, 2) @ d_ctx
-        dS = softmax_backward(A, dA) / math.sqrt(self.d_head)
-        dQh = dS @ Kh
-        dKh = dS.transpose(0, 1, 3, 2) @ Qh
-        d_q_in = self.q_proj.backward(cq, self._merge(dQh))
-        d_kv_in = self.k_proj.backward(ck, self._merge(dKh))
-        d_kv_in = d_kv_in + self.v_proj.backward(cv, self._merge(dVh))
+        d_ctx = split_heads(self.o_proj.backward(co, d_out), self.n_heads)
+        dQh, dKh, dVh = attention_backward(Qh, Kh, Vh, A, d_ctx)
+        d_q_in = self.q_proj.backward(cq, merge_heads(dQh))
+        d_kv_in = self.k_proj.backward(ck, merge_heads(dKh))
+        d_kv_in = d_kv_in + self.v_proj.backward(cv, merge_heads(dVh))
         return d_q_in, d_kv_in
 
 

@@ -16,7 +16,7 @@ from cliplta.harness import Dataset
 def attend(params, query, frames):
     """One (N, c) clip through the batched forward pass: (descriptor (c,), weights (H, N))."""
     out, cache = cross_attention_forward(params, query, np.asarray(frames)[None])
-    return out[0], cache["weights"][0]
+    return out[0], cache["weights"][0, :, 0]
 
 
 def edit_neighbors(s: tuple, alphabet: tuple, max_len: int) -> set:

@@ -252,6 +252,10 @@ MALFORMED_FIELDS = {
     "gt_verb_id_float": ("data/gt_val.json", lambda p: _set_first_id(p, "verb", 1.5), "'val_00000' verb[0]"),
     "gt_verb_id_bool": ("data/gt_val.json", lambda p: _set_first_id(p, "verb", True), "'val_00000' verb[0]"),
     "gt_noun_id_null": ("data/gt_val.json", lambda p: _set_first_id(p, "noun", None), "'val_00000' noun[0]"),
+    "store_dtype_f16": (STORE, lambda p: p.update(dtype="f16"), "'dtype'"),
+    "store_clip_id_repeated": (STORE, lambda p: p["clips"][1].update(id=p["clips"][0]["id"]), "clips[1].id"),
+    "gt_version_2": ("data/gt_val.json", lambda p: p.update(version=2), "'version'"),
+    "manifest_entry_missing": (PARAMS, lambda p: p.pop("pos_embed"), "'pos_embed'"),
     "store_without_c": (STORE, lambda p: p.pop("c"), "'c'"),
     "store_d_video_string": (STORE, lambda p: p.update(d_video="8"), "'d_video'"),
     "store_without_clips": (STORE, lambda p: p.pop("clips"), "'clips'"),

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -84,15 +85,14 @@ class TestStoreRoundTrip:
             store.write_clip(*make_clip(f"c{i}", frames, video))
         store.seal()
         reader = FeatureStore.open(tmp_path / "s")
-        assert reader.clip_ids() == [f"c{i}" for i in range(5)]
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert [clip["id"] for clip in manifest["clips"]] == [f"c{i}" for i in range(5)]
         for cid, (frames, video) in originals.items():
             got_frames, got_video = reader.read_clip(cid)
             assert got_frames.frames.tobytes() == frames.tobytes()
             assert got_video.vector.tobytes() == video.tobytes()
 
     def test_manifest_schema(self, tmp_path):
-        import json
-
         store = FeatureStore.create(tmp_path / "s")
         store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
         store.seal()
@@ -162,8 +162,6 @@ class TestStoreErrors:
 
     @pytest.mark.parametrize("key", ["c", "d_video"])
     def test_nonpositive_width_is_named(self, tmp_path, key):
-        import json
-
         store = FeatureStore.create(tmp_path / "s")
         store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
         store.seal()

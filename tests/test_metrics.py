@@ -200,6 +200,7 @@ class TestEvaluate:
 
 # case -> (edit to the prediction file's JSON, text the error message must hold)
 MALFORMED_PREDICTIONS = {
+    "version_2": (lambda p: p.update(version=2), "'version'"),
     "z_string": (lambda p: p.update(Z="x"), "'Z'"),
     "k_bool": (lambda p: p.update(K=True), "'K'"),
     "verb_id_float": (lambda p: p["predictions"]["a"]["verb"][1].__setitem__(0, 1.5), "'a' 'verb'"),
