@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cliplta import FeatureStore, FrameEmbeddingSequence, VideoDescriptor, stub_embed
+from cliplta import FeatureStore, stub_embed
 
 root = Path(tempfile.mkdtemp()) / "store"
 N, C, D_VIDEO = 4, 16, 32
@@ -27,10 +27,7 @@ for example in range(2):
         clip_id = f"demo_{example:05d}#{t}"
         frames = np.stack([stub_embed(9, f"{clip_id}/frame{r}", C) for r in range(N)])
         video = rng.standard_normal(D_VIDEO).astype(np.float32)
-        store.write_clip(
-            FrameEmbeddingSequence(clip_id=clip_id, frames=frames),
-            VideoDescriptor(clip_id=clip_id, vector=video),
-        )
+        store.write_clip(clip_id, frames, video)
 store.seal()  # manifest written; store is immutable from here on
 
 print(f"store sealed at {root}")
@@ -43,17 +40,15 @@ print("first entry:", manifest["clips"][0])
 # --- reader side ----------------------------------------------------------
 reader = FeatureStore.open(root)
 frames_back, video_back = reader.read_clip("demo_00000#0")
-print(f"\nread back demo_00000#0: frames {frames_back.frames.shape}, "
-      f"video {video_back.vector.shape}")
+print(f"\nread back demo_00000#0: frames {frames_back.shape}, video {video_back.shape}")
 
 # bit-exactness, not just closeness: float32 in, identical bytes out
 tricky = np.array([[-0.0, np.finfo(np.float32).tiny, 1e-45, 3.14]], dtype=np.float32)
 store2 = FeatureStore.create(root.parent / "tricky", c=4, d_video=4)
-store2.write_clip(FrameEmbeddingSequence(clip_id="t", frames=tricky),
-                  VideoDescriptor(clip_id="t", vector=tricky[0]))
+store2.write_clip("t", tricky, tricky[0])
 store2.seal()
 got, _ = FeatureStore.open(root.parent / "tricky").read_clip("t")
-assert got.frames.tobytes() == tricky.tobytes()
+assert got.tobytes() == tricky.tobytes()
 print("\nnegative zero and denormals survive the round trip byte for byte;")
 print("a real extractor would write the same layout (suggested sampling:")
 print("32 frames per clip at stride 4) and the training harness consumes it as is.")

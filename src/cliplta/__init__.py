@@ -23,9 +23,7 @@ from .aggregate import (
 from .errors import NumericError, ValidationError
 from .featurestore import (
     FeatureStore,
-    FrameEmbeddingSequence,
     TextEmbeddingTable,
-    VideoDescriptor,
     build_text_table,
     stub_embed,
 )

@@ -12,37 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .aggregate import probe_record, zero_shot_probe
-from .errors import NumericError, ValidationError, read_json_object, require
+from .errors import NumericError, ValidationError, build_config, read_json_object, require, write_file
 from .featurestore import FeatureStore
 from .harness import DEFAULT_PROMPT_TEMPLATE, TrainConfig, build_label_tables, run_eval, train
 from .synthdata import SynthConfig, generate
 from .taxonomy import load_taxonomy
 
 
-def _load_config_dict(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"config file not found: {p}")
-    return read_json_object(p, "config file")
-
-
-def _build_config(cls, config_dict: dict, overrides: dict):
-    valid = {f.name for f in fields(cls)}
-    unknown = set(config_dict) - valid
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(config_dict)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except TypeError as e:
-        raise ValidationError(str(e)) from e
+def _build_config(cls, path: str | None, overrides: dict):
+    """``cls`` from the JSON config file at ``path`` (if any), each flag given on the command line overriding it."""
+    values, what = {}, "command line"
+    if path is not None:
+        p = Path(path)
+        if not p.is_file():
+            raise ValidationError(f"config file not found: {p}")
+        values, what = read_json_object(p, "config file"), f"config file {p}"
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    return build_config(cls, values, what)
 
 
 def _add_gen_synth(sub):
@@ -109,7 +98,7 @@ def _cmd_gen_synth(args) -> int:
     overrides = {k: getattr(args, k) for k in
                  ("n_train", "n_val", "n_input_clips", "N", "c", "d_video", "Z",
                   "n_verbs", "n_nouns", "signal_mode", "noise_std", "seed")}
-    cfg = _build_config(SynthConfig, _load_config_dict(args.config), overrides)
+    cfg = _build_config(SynthConfig, args.config, overrides)
     dataset = generate(cfg, args.out)
     print(f"wrote synthetic dataset under {dataset.root} "
           f"({cfg.n_train} train / {cfg.n_val} val examples, mode={cfg.signal_mode})")
@@ -122,7 +111,7 @@ def _cmd_train(args) -> int:
                   "batch_size", "base_lr", "momentum", "seed", "eval_every", "temperature",
                   "n_layers", "n_heads_agg", "d_ff", "d_attn", "n_heads_ca", "text_seed")}
     overrides["K"] = args.k
-    cfg = _build_config(TrainConfig, _load_config_dict(args.config), overrides)
+    cfg = _build_config(TrainConfig, args.config, overrides)
     ckpt_dir, log = train(cfg)
     last = log.records[-1]
     print(f"trained {cfg.variant} for {cfg.epochs} epochs; final train_loss={last['train_loss']:.4f}")
@@ -149,12 +138,12 @@ def _cmd_probe(args) -> int:
     frames, _ = store.read_clip(args.clip)
     tables = build_label_tables(taxonomy, store.c, args.text_seed, args.template)
     lines = []
-    for i, frame in enumerate(frames.frames):
+    for i, frame in enumerate(frames):
         record = probe_record(zero_shot_probe(frame, tables), i, taxonomy)
         lines.append(json.dumps(record))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -167,7 +156,8 @@ def _cmd_report(args) -> int:
         config_path = run / "train_config.json"
         if not config_path.is_file():
             raise ValidationError(f"{run} does not look like a run directory (no train_config.json)")
-        variant = read_json_object(config_path, "run config").get("variant", "?")
+        variant = require(read_json_object(config_path, "run config").get("variant"), str,
+                          f"run config {config_path}: 'variant'")
         report_path = run / "report.json"
         if report_path.is_file():
             rep = read_json_object(report_path, "eval report")

@@ -1,15 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types, and the one reader and one writer of every file.
 
 Two categories, mirroring the CLI exit codes: bad inputs (schemas,
 preconditions, lookups) and numeric/runtime failures. ``read_json_object``
 is the one JSON reader, so a malformed file is always a bad input,
-``require`` checks the type of one field read from it,
+``require`` checks the type of one field read from it, ``build_config``
+checks every field of a config dataclass read from it,
 ``require_file_name`` checks a field that names a blob beside the manifest,
 and ``read_blob`` is the one reader of such a blob.
+
+``write_file`` writes every other file atomically (a temporary file, then
+``os.replace``; no fsync), and ``write_blob``, the inverse of ``read_blob``,
+writes a blob in place: its manifest, written last by ``write_file``,
+publishes it.
 """
 
+import dataclasses
 import json
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +43,8 @@ def read_json_object(path: Path, what: str) -> dict:
     return raw
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list",
+               dict: "an object"}
 
 
 def require(value, kind: type, what: str):
@@ -44,9 +53,34 @@ def require(value, kind: type, what: str):
     A bool is never an integer or a number; a number may be an integer.
     """
     kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kinds):
         raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def build_config(cls, values: dict, what: str):
+    """``cls(**values)`` for a config dataclass; a failed check raises ValidationError naming ``what``.
+
+    Each key must name a field, each field without a default must be given,
+    and each value must pass ``require`` for its field's annotated type
+    (``X | None`` also takes None). ``cls``'s own checks are prefixed too.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(values) - {f.name for f in fields})
+    if unknown:
+        raise ValidationError(f"{what}: unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    for f in fields:
+        if f.name in values:
+            kind, *rest = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if not (values[f.name] is None and type(None) in rest):
+                require(values[f.name], kind, f"{what}: '{f.name}'")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"{what}: missing key '{f.name}'")
+    try:
+        return cls(**values)
+    except ValidationError as e:
+        raise ValidationError(f"{what}: {e}") from e
 
 
 def require_file_name(value, what: str) -> str:
@@ -61,6 +95,36 @@ def require_file_name(value, what: str) -> str:
     if name in ("", ".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise ValidationError(f"{what} must be a plain file name inside its directory, got {name!r}")
     return name
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` atomically, creating its directory.
+
+    The bytes go to a temporary file beside ``path`` that ``os.replace``
+    then moves over it; if either step raises, the temporary file is
+    removed and ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_blob(path: str, array: np.ndarray) -> None:
+    """Write ``array`` to ``path`` in place as a headerless ``<f4`` blob."""
+    data = memoryview(np.ascontiguousarray(array, dtype="<f4")).cast("B")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def read_blob(path: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -6,6 +6,11 @@ zero and denormals included) and the files can be produced by any language.
 Real CLIP / video-network features are written by an offline adapter in the
 same format; nothing in this package loads pretrained weights.
 
+``write_clip(clip_id, frames, video)`` takes a ``(n_frames, c)`` matrix
+and a ``(d_video,)`` vector; ``read_clip`` returns the two as new float32
+arrays. Blobs are written in place; ``seal`` writes the manifest last,
+atomically, and only the manifest makes them reachable.
+
 Read contract: each blob must hold exactly its shape's float32 values
 (``(n_frames, c)`` frames, ``(d_video,)`` video), is read once straight into
 its final array by ``errors.read_blob``, and must be finite. A failed check
@@ -24,59 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, read_blob, read_json_object, require, require_file_name
+from .errors import ValidationError, read_blob, read_json_object, require, require_file_name, write_blob, write_file
 from .taxonomy import CATEGORIES, Taxonomy
 
 MANIFEST_NAME = "manifest.json"
 DTYPE_TAG = "f32le"
-
-
-@dataclass(frozen=True)
-class FrameEmbeddingSequence:
-    """Per-frame embeddings for one clip, shape (n_frames, c)."""
-
-    clip_id: str
-    frames: np.ndarray
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames)
-        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
-            raise ValidationError(
-                f"frames for clip {self.clip_id!r} must be a non-empty 2-d matrix, got shape {frames.shape}"
-            )
-        if not np.isfinite(frames).all():
-            raise ValidationError(f"frames for clip {self.clip_id!r} contain non-finite values")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass(frozen=True)
-class VideoDescriptor:
-    """Opaque per-clip vector from the video network pathway."""
-
-    clip_id: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector)
-        if vector.ndim != 1 or vector.shape[0] < 1:
-            raise ValidationError(
-                f"video descriptor for clip {self.clip_id!r} must be a 1-d vector, got shape {vector.shape}"
-            )
-        if not np.isfinite(vector).all():
-            raise ValidationError(f"video descriptor for clip {self.clip_id!r} contains non-finite values")
-        object.__setattr__(self, "vector", vector)
-
-    @property
-    def width(self) -> int:
-        return self.vector.shape[0]
 
 
 def stub_embed(seed: int, token: str, c: int) -> np.ndarray:
@@ -151,6 +108,18 @@ def build_text_table(
     return TextEmbeddingTable(category=category, embeddings=np.stack(rows), prompt_template=prompt_template)
 
 
+# what a clip array holding a non-finite value is called, by the manifest field naming its blob
+_NON_FINITE = {"frames_file": "frames for clip {!r} contain non-finite values",
+               "video_file": "video descriptor for clip {!r} contains non-finite values"}
+
+
+def _require_finite(array: np.ndarray, clip_id: str, field: str) -> np.ndarray:
+    """``array`` if every value is finite; raises ValidationError naming the clip otherwise."""
+    if not np.isfinite(array).all():
+        raise ValidationError(_NON_FINITE[field].format(clip_id))
+    return array
+
+
 def _clip_entry_id(entry) -> str:
     """The id of a manifest clip entry whose fields check out.
 
@@ -194,32 +163,43 @@ class FeatureStore:
             raise ValidationError(f"store already sealed at {root}")
         return cls(root, c, d_video, writable=True)
 
-    def write_clip(self, frames: FrameEmbeddingSequence, video: VideoDescriptor) -> None:
+    def write_clip(self, clip_id: str, frames: np.ndarray, video: np.ndarray) -> None:
+        """Add clip ``clip_id``: frames (n_frames, c) and video (d_video,), each written as one blob."""
         if not self._writable:
             raise ValidationError("store is sealed; writes are not allowed")
-        if frames.clip_id != video.clip_id:
-            raise ValidationError(f"clip id mismatch: {frames.clip_id!r} vs {video.clip_id!r}")
-        clip_id = frames.clip_id
+        frames = np.asarray(frames, dtype="<f4")
+        video = np.asarray(video, dtype="<f4")
+        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise ValidationError(
+                f"frames for clip {clip_id!r} must be a non-empty 2-d matrix, got shape {frames.shape}"
+            )
+        if video.ndim != 1 or video.shape[0] < 1:
+            raise ValidationError(
+                f"video descriptor for clip {clip_id!r} must be a 1-d vector, got shape {video.shape}"
+            )
+        _require_finite(frames, clip_id, "frames_file")
+        _require_finite(video, clip_id, "video_file")
         if clip_id in self._clips:
             raise ValidationError(f"duplicate clip id {clip_id!r}")
+        n_frames, c = frames.shape
         if self.c is None:
-            self.c = frames.width
-        elif frames.width != self.c:
-            raise ValidationError(f"frame width {frames.width} does not match store width c={self.c}")
+            self.c = c
+        elif c != self.c:
+            raise ValidationError(f"frame width {c} does not match store width c={self.c}")
         if self.d_video is None:
-            self.d_video = video.width
-        elif video.width != self.d_video:
+            self.d_video = len(video)
+        elif len(video) != self.d_video:
             raise ValidationError(
-                f"video width {video.width} does not match store width d_video={self.d_video}"
+                f"video width {len(video)} does not match store width d_video={self.d_video}"
             )
         index = len(self._clips)
         frames_file = f"clip_{index:06d}.frames.bin"
         video_file = f"clip_{index:06d}.video.bin"
-        (self.root / frames_file).write_bytes(np.ascontiguousarray(frames.frames, dtype="<f4").tobytes())
-        (self.root / video_file).write_bytes(np.ascontiguousarray(video.vector, dtype="<f4").tobytes())
+        write_blob(self._prefix + frames_file, frames)
+        write_blob(self._prefix + video_file, video)
         self._clips[clip_id] = {
             "id": clip_id,
-            "n_frames": int(frames.n_frames),
+            "n_frames": n_frames,
             "frames_file": frames_file,
             "video_file": video_file,
         }
@@ -234,9 +214,7 @@ class FeatureStore:
             "dtype": DTYPE_TAG,
             "clips": list(self._clips.values()),
         }
-        with open(self.root / MANIFEST_NAME, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2)
-            f.write("\n")
+        write_file(self.root / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
         self._writable = False
 
     # -- reader side ---------------------------------------------------
@@ -276,18 +254,19 @@ class FeatureStore:
         """Where ``field`` of clip ``clip_id`` sits in the manifest, for an error message."""
         return f"store manifest {self.root / MANIFEST_NAME}: clips[{list(self._clips).index(clip_id)}].{field}"
 
-    def _read(self, clip_id: str, field: str, shape: tuple[int, ...], make):
-        """``make(clip_id, blob)`` for the blob ``field`` names; a failed check names the entry and field."""
+    def _read(self, clip_id: str, field: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The finite blob ``field`` names, of ``shape``; a failed check names the entry and field."""
         try:
-            return make(clip_id, read_blob(self._prefix + self._clips[clip_id][field], shape))
+            return _require_finite(read_blob(self._prefix + self._clips[clip_id][field], shape), clip_id, field)
         except ValidationError as e:
             raise ValidationError(f"{self.where(clip_id, field)}: {e}") from e
 
-    def read_clip(self, clip_id: str) -> tuple[FrameEmbeddingSequence, VideoDescriptor]:
+    def read_clip(self, clip_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """New float32 arrays frames (n_frames, c) and video (d_video,) of clip ``clip_id``."""
         entry = self._clips.get(clip_id)
         if entry is None:
             raise ValidationError(f"unknown clip id {clip_id!r}")
         return (
-            self._read(clip_id, "frames_file", (entry["n_frames"], self.c), FrameEmbeddingSequence),
-            self._read(clip_id, "video_file", (self.d_video,), VideoDescriptor),
+            self._read(clip_id, "frames_file", (entry["n_frames"], self.c)),
+            self._read(clip_id, "video_file", (self.d_video,)),
         )

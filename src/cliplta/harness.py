@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import img_text_concat, mean_pool
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, write_file
 from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
 from .metrics import EvalReport, check_label_ids, ed_at_zk, read_ground_truth, score
 # run_eval scores from memory and does not call evaluate; the name is bound here because the
@@ -79,6 +79,8 @@ class TrainConfig:
 
     def __post_init__(self):
         variant_spec(self.variant)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -104,11 +106,7 @@ class RunLog:
         self.records.append(record)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as f:
-            for record in self.records:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
+        write_file(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in self.records))
 
 
 def build_label_tables(taxonomy: Taxonomy, c: int, text_seed: int,
@@ -179,15 +177,15 @@ def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarr
             clip_id = f"{example_id}#{t}"
             clip_frames, clip_video = store.read_clip(clip_id)
             if frames is None:
-                frames = np.empty((B, T) + clip_frames.frames.shape, clip_frames.frames.dtype)
-                video = np.empty((B, T) + clip_video.vector.shape, clip_video.vector.dtype)
-            elif clip_frames.n_frames != frames.shape[2]:
+                frames = np.empty((B, T) + clip_frames.shape, clip_frames.dtype)
+                video = np.empty((B, T) + clip_video.shape, clip_video.dtype)
+            elif len(clip_frames) != frames.shape[2]:
                 raise ValidationError(
-                    f"{store.where(clip_id, 'n_frames')} is {clip_frames.n_frames}; expected {frames.shape[2]} "
+                    f"{store.where(clip_id, 'n_frames')} is {len(clip_frames)}; expected {frames.shape[2]} "
                     f"like clip '{example_ids[0]}#0' (frames per clip must be constant for batching)"
                 )
-            frames[b, t] = clip_frames.frames
-            video[b, t] = clip_video.vector
+            frames[b, t] = clip_frames
+            video[b, t] = clip_video
     return Dataset(example_ids=example_ids, video=video, frames=frames, verb_ids=verb_ids, noun_ids=noun_ids)
 
 
@@ -314,8 +312,6 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     slots = [(params[name], grads[name], np.zeros_like(params[name])) for name in model.trainable_names()]
     shuffle_rng = np.random.default_rng(cfg.seed)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog()
     n = len(dataset)
 
@@ -348,13 +344,12 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
             record["val_verb_ed"], record["val_noun_ed"] = float(np.mean(verb_ed)), float(np.mean(noun_ed))
         log.append(record)
 
+    out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(model, ckpt_dir)
     log.checkpoint_path = str(ckpt_dir)
     log.save(out_dir / "runlog.jsonl")
-    with open(out_dir / "train_config.json", "w", encoding="utf-8") as f:
-        json.dump(asdict(cfg), f, indent=2)
-        f.write("\n")
+    write_file(out_dir / "train_config.json", json.dumps(asdict(cfg), indent=2) + "\n")
     return ckpt_dir, log
 
 
@@ -393,11 +388,8 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
 
     verb, noun = _predict_dataset(model, dataset, K, temperature, seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pred_file = out_dir / "predictions.json"
     write_predictions(pred_file, dataset.example_ids, verb, noun, taxonomy.sha256())
     report = score(dataset.example_ids, verb, noun, dataset.verb_ids, dataset.noun_ids)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2)
-        f.write("\n")
+    write_file(out_dir / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
     return pred_file, report

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, read_json_object, require
+from .errors import ValidationError, read_json_object, require, write_file
 from .model import read_predictions
 from .taxonomy import GroundTruthSequence, Taxonomy
 
@@ -184,11 +184,7 @@ def write_ground_truth(path: str | Path, sequences: list[GroundTruthSequence], Z
             for seq in sorted(sequences, key=lambda s: s.example_id)
         },
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        # dumps, unlike dump, uses the C encoder; the bytes are the same
-        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_ground_truth(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:

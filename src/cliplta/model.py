@@ -35,7 +35,8 @@ import numpy as np
 
 from . import nn
 from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
-from .errors import NumericError, ValidationError, read_blob, read_json_object, require, require_file_name
+from .errors import (NumericError, ValidationError, build_config, read_blob, read_json_object, require,
+                     require_file_name, write_blob, write_file)
 from .featurestore import stub_embed
 
 
@@ -318,20 +319,21 @@ CONFIG_FILE = "config.json"
 
 
 def save_checkpoint(model: LtaModel, ckpt_dir: str | Path) -> None:
-    """Write config.json plus one float32 little-endian blob per parameter."""
+    """Write config.json, one float32 little-endian blob per parameter, then params.json.
+
+    An old params.json is removed first, so an interrupted re-save leaves a
+    checkpoint that does not load rather than one that mixes old and new blobs.
+    """
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    with open(ckpt_dir / CONFIG_FILE, "w", encoding="utf-8") as f:
-        json.dump(asdict(model.config), f, indent=2)
-        f.write("\n")
+    (ckpt_dir / PARAMS_MANIFEST).unlink(missing_ok=True)
+    write_file(ckpt_dir / CONFIG_FILE, json.dumps(asdict(model.config), indent=2) + "\n")
+    prefix = os.path.join(ckpt_dir, "")
     manifest = {}
     for name, arr in sorted(model.named_parameters().items()):
         filename = f"{name}.bin"
-        (ckpt_dir / filename).write_bytes(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        write_blob(prefix + filename, arr)
         manifest[name] = {"shape": list(arr.shape), "file": filename}
-    with open(ckpt_dir / PARAMS_MANIFEST, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_file(ckpt_dir / PARAMS_MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
@@ -341,21 +343,19 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
     loading draws no random init: each parameter is allocated once and filled
     by one copy from its ``<f4`` blob, read by ``errors.read_blob``, the
     store's reader. The checks stay: the config must be a valid
-    :class:`LtaModelConfig`; the manifest must list exactly the model's
-    parameters, each with its shape and a plain file name inside
-    ``ckpt_dir``; each blob must exist and hold exactly that many float32
-    values. A failed check raises ValidationError naming the manifest, the
-    entry and the field.
+    :class:`LtaModelConfig`, each field of its annotated type; the manifest
+    must list exactly the model's parameters, each with its shape and a
+    plain file name inside ``ckpt_dir``; each blob must exist and hold
+    exactly that many float32 values. A failed check raises ValidationError
+    naming the manifest, the entry and the field.
     """
     ckpt_dir = Path(ckpt_dir)
-    config_path = ckpt_dir / CONFIG_FILE
-    if not config_path.is_file():
-        raise ValidationError(f"no checkpoint at {ckpt_dir} (missing {CONFIG_FILE})")
-    try:
-        config = LtaModelConfig(**read_json_object(config_path, "checkpoint config"))
-    except TypeError as e:
-        raise ValidationError(f"checkpoint config {config_path}: {e}") from e
-    manifest_path = ckpt_dir / PARAMS_MANIFEST
+    config_path, manifest_path = ckpt_dir / CONFIG_FILE, ckpt_dir / PARAMS_MANIFEST
+    for path in (config_path, manifest_path):
+        if not path.is_file():
+            raise ValidationError(f"no checkpoint at {ckpt_dir} (missing {path.name})")
+    config = build_config(LtaModelConfig, read_json_object(config_path, "checkpoint config"),
+                          f"checkpoint config {config_path}")
     manifest = read_json_object(manifest_path, "checkpoint manifest")
     model = LtaModel(config, dtype=dtype, init=False)
     params = model.named_parameters()
@@ -403,11 +403,7 @@ def write_predictions(path: str | Path, example_ids: list[str], verb: np.ndarray
             for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())
         },
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        # dumps, unlike dump, uses the C encoder; the bytes are the same
-        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:

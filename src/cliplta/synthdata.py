@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .featurestore import FeatureStore, FrameEmbeddingSequence, VideoDescriptor, stub_embed
+from .errors import ValidationError, write_file
+from .featurestore import FeatureStore, stub_embed
 from .metrics import write_ground_truth
 from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy, save_taxonomy
 
@@ -69,6 +69,8 @@ class SynthConfig:
             raise ValidationError(f"unknown signal_mode {self.signal_mode!r}; expected one of {SIGNAL_MODES}")
         if self.noise_std < 0:
             raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_classes(self) -> int:
@@ -168,7 +170,6 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
     drawn class(es), for diagnostics and oracle tests.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     taxonomy = make_taxonomy(cfg)
     protos_frame = np.stack([frame_prototype(cfg, z) for z in range(cfg.n_classes)])
     protos_video = np.stack([video_prototype(cfg, z) for z in range(cfg.n_classes)])
@@ -183,11 +184,7 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
             rng = _example_rng(cfg, split_index, i)
             z_verb, z_noun, frames, video = _generate_example(cfg, rng, protos_frame, protos_video)
             for t in range(cfg.n_input_clips):
-                clip_id = f"{example_id}#{t}"
-                store.write_clip(
-                    FrameEmbeddingSequence(clip_id=clip_id, frames=frames[t]),
-                    VideoDescriptor(clip_id=clip_id, vector=video[t]),
-                )
+                store.write_clip(f"{example_id}#{t}", frames[t], video[t])
             gt_by_split[split].append(label_sequence(cfg, example_id, z_verb, z_noun))
             latents[example_id] = {"z_verb": z_verb, "z_noun": z_noun}
     store.seal()
@@ -203,10 +200,6 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
     save_taxonomy(taxonomy, dataset.taxonomy_path)
     write_ground_truth(dataset.gt_train_path, dataset.gt_train, cfg.Z, tax_hash)
     write_ground_truth(dataset.gt_val_path, dataset.gt_val, cfg.Z, tax_hash)
-    with open(out_dir / "synth_config.json", "w", encoding="utf-8") as f:
-        json.dump(asdict(cfg), f, indent=2)
-        f.write("\n")
-    with open(out_dir / "latents.json", "w", encoding="utf-8") as f:
-        # dumps, unlike dump, uses the C encoder; the bytes are the same
-        f.write(json.dumps(latents, sort_keys=True, separators=(",", ":")) + "\n")
+    write_file(out_dir / "synth_config.json", json.dumps(asdict(cfg), indent=2) + "\n")
+    write_file(out_dir / "latents.json", json.dumps(latents, sort_keys=True, separators=(",", ":")) + "\n")
     return dataset

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, read_json_object, require
+from .errors import ValidationError, read_json_object, require, write_file
 
 CATEGORIES = ("verb", "noun", "scenario", "place")
 
@@ -58,15 +58,14 @@ class Taxonomy:
             raise ValidationError(f"unknown category {category!r}; expected one of {CATEGORIES}")
         return getattr(self, _CATEGORY_TO_KEY[category])
 
+    def to_dict(self) -> dict[str, list[str]]:
+        """The file form: each key of the taxonomy file and its entries, in file order."""
+        return {key: list(getattr(self, key)) for key in _CATEGORY_TO_KEY.values()}
+
     def sha256(self) -> str:
         """Hash of the canonical JSON serialization; stable across load/save."""
         canonical = json.dumps(
-            {
-                "verbs": list(self.verbs),
-                "nouns": list(self.nouns),
-                "scenarios": list(self.scenarios),
-                "places": list(self.places),
-            },
+            self.to_dict(),
             sort_keys=True,
             separators=(",", ":"),
             ensure_ascii=False,
@@ -115,18 +114,4 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "verbs": list(taxonomy.verbs),
-                "nouns": list(taxonomy.nouns),
-                "scenarios": list(taxonomy.scenarios),
-                "places": list(taxonomy.places),
-            },
-            f,
-            indent=2,
-            ensure_ascii=False,
-        )
-        f.write("\n")
+    write_file(path, json.dumps(taxonomy.to_dict(), indent=2, ensure_ascii=False) + "\n")

@@ -16,11 +16,9 @@ import pytest
 from cliplta import (
     CrossAttention,
     FeatureStore,
-    FrameEmbeddingSequence,
     LtaModel,
     SynthConfig,
     TrainConfig,
-    VideoDescriptor,
     ed_at_zk,
     edit_distance,
     generate,
@@ -332,12 +330,11 @@ class TestDeterminismAndRoundTrips:
         # feature-store round trip is bit-exact, awkward values included
         tricky = np.array([[-0.0, np.finfo(np.float32).tiny, 1e-45, 1.5]], dtype=np.float32)
         store = FeatureStore.create(tmp_path / "store")
-        store.write_clip(FrameEmbeddingSequence(clip_id="x", frames=tricky),
-                         VideoDescriptor(clip_id="x", vector=tricky[0]))
+        store.write_clip("x", tricky, tricky[0])
         store.seal()
         frames, video = FeatureStore.open(tmp_path / "store").read_clip("x")
-        assert frames.frames.tobytes() == tricky.tobytes()
-        assert video.vector.tobytes() == tricky[0].tobytes()
+        assert frames.tobytes() == tricky.tobytes()
+        assert video.tobytes() == tricky[0].tobytes()
 
         # checkpoint round trip reproduces the forward pass bitwise
         ckpt_dir = tmp_path / "a" / "checkpoint"

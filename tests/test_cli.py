@@ -234,6 +234,7 @@ def _set_clip_field(payload, clip_id, field, value):
 
 
 STORE = "data/store/manifest.json"
+CONFIG = "run/checkpoint/config.json"
 PARAMS = "run/checkpoint/params.json"
 TAXONOMY = "data/taxonomy.json"
 
@@ -241,6 +242,14 @@ TAXONOMY = "data/taxonomy.json"
 MALFORMED_FIELDS = {
     "config_extra_key": ("run/checkpoint/config.json", lambda p: p.update(extra=1), "extra"),
     "config_missing_key": ("run/checkpoint/config.json", lambda p: p.pop("n_verbs"), "n_verbs"),
+    # each config value must have its field's type; a bool is not an integer
+    "config_n_layers_float": (CONFIG, lambda p: p.update(n_layers=1.5), "'n_layers' must be an integer"),
+    "config_n_verbs_bool": (CONFIG, lambda p: p.update(n_verbs=True), "'n_verbs' must be an integer"),
+    "config_c_string": (CONFIG, lambda p: p.update(c="8"), "'c' must be an integer"),
+    "config_variant_not_string": (CONFIG, lambda p: p.update(variant=3), "'variant' must be a string"),
+    "config_learned_query_string": (CONFIG, lambda p: p.update(learned_query="no"),
+                                    "'learned_query' must be a boolean"),
+    "config_z_zero": (CONFIG, lambda p: p.update(Z=0), "config field Z must be >= 1"),
     "manifest_entry_without_file": ("run/checkpoint/params.json",
                                     lambda p: p["pos_embed"].pop("file"), "'file'"),
     "gt_examples_not_object": ("data/gt_val.json", lambda p: p.update(examples=[1]), "'examples'"),
@@ -366,6 +375,8 @@ MALFORMED_RUNS = {
                                   lambda text: json.dumps({"verb_ed": 0.5, "noun_ed": 0.5}), "'n_examples'"),
     "report_ed_string": ("report.json",
                          lambda text: json.dumps({"verb_ed": "x", "noun_ed": 0.5, "n_examples": 1}), "'verb_ed'"),
+    "config_variant_not_string": ("train_config.json", lambda text: json.dumps({**json.loads(text), "variant": 3}),
+                                  "'variant' must be a string"),
 }
 
 
@@ -381,3 +392,51 @@ def test_report_on_malformed_run_is_2_and_named(workspace, tmp_path, capsys, cas
     err = capsys.readouterr().err
     assert str(target) in err and field in err, err
     assert "runtime error" not in err
+
+
+# case -> (command, edit to a valid config of that command, text its error message must hold)
+MALFORMED_CONFIGS = {
+    "train_batch_size_float": ("train", lambda p: p.update(batch_size=2.5), "'batch_size' must be an integer"),
+    "train_n_layers_float": ("train", lambda p: p.update(n_layers=1.5), "'n_layers' must be an integer"),
+    "train_epochs_string": ("train", lambda p: p.update(epochs="3"), "'epochs' must be an integer"),
+    "train_base_lr_bool": ("train", lambda p: p.update(base_lr=True), "'base_lr' must be a number"),
+    "train_learned_query_string": ("train", lambda p: p.update(learned_query="yes"),
+                                   "'learned_query' must be a boolean"),
+    "train_val_gt_number": ("train", lambda p: p.update(val_gt=3), "'val_gt' must be a string"),
+    "train_seed_negative": ("train", lambda p: p.update(seed=-1), "seed must be >= 0, got -1"),
+    "train_unknown_key": ("train", lambda p: p.update(extra=1), "unknown keys ['extra']"),
+    "train_without_variant": ("train", lambda p: p.pop("variant"), "missing key 'variant'"),
+    "synth_N_float": ("gen-synth", lambda p: p.update(N=2.5), "'N' must be an integer"),
+    "synth_n_train_string": ("gen-synth", lambda p: p.update(n_train="4"), "'n_train' must be an integer"),
+    "synth_noise_std_string": ("gen-synth", lambda p: p.update(noise_std="0.1"), "'noise_std' must be a number"),
+    "synth_signal_mode_number": ("gen-synth", lambda p: p.update(signal_mode=3), "'signal_mode' must be a string"),
+    "synth_seed_negative": ("gen-synth", lambda p: p.update(seed=-1), "seed must be >= 0, got -1"),
+    "synth_unknown_key": ("gen-synth", lambda p: p.update(extra=1), "unknown keys ['extra']"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_file_is_2_and_named(workspace, tmp_path, capsys, case):
+    command, change, field = MALFORMED_CONFIGS[case]
+    data = workspace / "data"
+    if command == "train":
+        payload = {"variant": "baseline", "store": str(data / "store"), "gt": str(data / "gt_train.json"),
+                   "taxonomy": str(data / "taxonomy.json"), "out_dir": str(tmp_path / "out"),
+                   "epochs": 1, "batch_size": 4, "n_layers": 1, "n_heads_agg": 2}
+        argv = ["train"]
+    else:
+        payload = {"n_train": 4, "n_val": 2, "N": 2, "c": 4, "d_video": 4, "Z": 2, "n_verbs": 3, "n_nouns": 3}
+        argv = ["gen-synth", "--out", str(tmp_path / "out")]
+    change(payload)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config file {config}: " in err and field in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_2(tmp_path, capsys):
+    assert main(["gen-synth", "--out", str(tmp_path / "out"), "--n-train", "2", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -6,9 +6,7 @@ import pytest
 
 from cliplta import (
     FeatureStore,
-    FrameEmbeddingSequence,
     ValidationError,
-    VideoDescriptor,
     build_text_table,
     stub_embed,
 )
@@ -43,24 +41,17 @@ class TestStubEmbed:
             stub_embed(7, "cup", 1)
 
 
-def make_clip(clip_id, frames, video):
-    return (
-        FrameEmbeddingSequence(clip_id=clip_id, frames=np.asarray(frames)),
-        VideoDescriptor(clip_id=clip_id, vector=np.asarray(video)),
-    )
-
-
 class TestStoreRoundTrip:
     def test_write_read_identity(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
         frames = np.arange(12, dtype=np.float32).reshape(3, 4)
         video = np.array([9.0, 8.0], dtype=np.float32)
-        store.write_clip(*make_clip("a", frames, video))
+        store.write_clip("a", frames, video)
         store.seal()
         reader = FeatureStore.open(tmp_path / "s")
         got_frames, got_video = reader.read_clip("a")
-        np.testing.assert_array_equal(got_frames.frames, frames)
-        np.testing.assert_array_equal(got_video.vector, video)
+        np.testing.assert_array_equal(got_frames, frames)
+        np.testing.assert_array_equal(got_video, video)
 
     def test_bit_exact_for_denormals_and_negative_zero(self, tmp_path):
         tricky = np.array(
@@ -69,11 +60,11 @@ class TestStoreRoundTrip:
             dtype=np.float32,
         )
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", tricky, tricky[0]))
+        store.write_clip("a", tricky, tricky[0])
         store.seal()
         got_frames, got_video = FeatureStore.open(tmp_path / "s").read_clip("a")
-        assert got_frames.frames.tobytes() == tricky.tobytes()
-        assert got_video.vector.tobytes() == tricky[0].tobytes()
+        assert got_frames.tobytes() == tricky.tobytes()
+        assert got_video.tobytes() == tricky[0].tobytes()
 
     def test_random_round_trip_bit_exact(self, tmp_path, rng):
         store = FeatureStore.create(tmp_path / "s")
@@ -82,19 +73,19 @@ class TestStoreRoundTrip:
             frames = rng.standard_normal((rng.integers(1, 6), 7)).astype(np.float32)
             video = rng.standard_normal(3).astype(np.float32)
             originals[f"c{i}"] = (frames, video)
-            store.write_clip(*make_clip(f"c{i}", frames, video))
+            store.write_clip(f"c{i}", frames, video)
         store.seal()
         reader = FeatureStore.open(tmp_path / "s")
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert [clip["id"] for clip in manifest["clips"]] == [f"c{i}" for i in range(5)]
         for cid, (frames, video) in originals.items():
             got_frames, got_video = reader.read_clip(cid)
-            assert got_frames.frames.tobytes() == frames.tobytes()
-            assert got_video.vector.tobytes() == video.tobytes()
+            assert got_frames.tobytes() == frames.tobytes()
+            assert got_video.tobytes() == video.tobytes()
 
     def test_manifest_schema(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert set(manifest) == {"c", "d_video", "dtype", "clips"}
@@ -110,25 +101,25 @@ class TestStoreRoundTrip:
 class TestStoreErrors:
     def test_duplicate_clip_id(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         with pytest.raises(ValidationError, match="duplicate"):
-            store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+            store.write_clip("a", np.ones((2, 4)), np.ones(3))
 
     def test_width_mismatch(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         with pytest.raises(ValidationError, match="width"):
-            store.write_clip(*make_clip("a", np.ones((2, 8)), np.ones(3)))
+            store.write_clip("a", np.ones((2, 8)), np.ones(3))
 
     def test_unknown_clip(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         with pytest.raises(ValidationError, match="missing"):
             FeatureStore.open(tmp_path / "s").read_clip("missing")
 
     def test_truncated_blob_is_corruption(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         blob = tmp_path / "s" / "clip_000000.frames.bin"
         blob.write_bytes(blob.read_bytes()[:-4])
@@ -138,8 +129,8 @@ class TestStoreErrors:
 
     def test_long_blob_is_named(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
-        store.write_clip(*make_clip("b", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
+        store.write_clip("b", np.ones((2, 4)), np.ones(3))
         store.seal()
         blob = tmp_path / "s" / "clip_000001.video.bin"
         blob.write_bytes(blob.read_bytes() + b"\0")
@@ -150,7 +141,7 @@ class TestStoreErrors:
     @pytest.mark.parametrize("field, index", [("frames_file", 5), ("video_file", 2)])
     def test_nonfinite_blob_names_entry(self, tmp_path, field, index):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         blob = tmp_path / "s" / ("clip_000000.frames.bin" if field == "frames_file" else "clip_000000.video.bin")
         values = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
@@ -163,7 +154,7 @@ class TestStoreErrors:
     @pytest.mark.parametrize("key", ["c", "d_video"])
     def test_nonpositive_width_is_named(self, tmp_path, key):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         manifest = tmp_path / "s" / "manifest.json"
         payload = json.loads(manifest.read_text())
@@ -174,14 +165,43 @@ class TestStoreErrors:
 
     def test_sealed_store_rejects_writes(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
-        store.write_clip(*make_clip("a", np.ones((2, 4)), np.ones(3)))
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         with pytest.raises(ValidationError, match="sealed"):
-            store.write_clip(*make_clip("b", np.ones((2, 4)), np.ones(3)))
+            store.write_clip("b", np.ones((2, 4)), np.ones(3))
 
-    def test_nonfinite_frames_rejected(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            FrameEmbeddingSequence(clip_id="a", frames=np.array([[1.0, np.nan]]))
+    @pytest.mark.parametrize("frames, video, message", [
+        pytest.param(np.array([[1.0, np.nan]]), np.ones(3), "frames for clip 'a' contain non-finite values",
+                     id="frames_nan"),
+        pytest.param(np.ones((2, 4)), np.array([1.0, np.inf, 0.0]),
+                     "video descriptor for clip 'a' contains non-finite values", id="video_inf"),
+        pytest.param(np.ones(4), np.ones(3), "frames for clip 'a' must be a non-empty 2-d matrix, got shape (4,)",
+                     id="frames_1d"),
+        pytest.param(np.ones((0, 4)), np.ones(3),
+                     "frames for clip 'a' must be a non-empty 2-d matrix, got shape (0, 4)", id="frames_empty"),
+        pytest.param(np.ones((2, 4)), np.ones((1, 3)),
+                     "video descriptor for clip 'a' must be a 1-d vector, got shape (1, 3)", id="video_2d"),
+        pytest.param(np.ones((2, 4)), np.float32(1.0),
+                     "video descriptor for clip 'a' must be a 1-d vector, got shape ()", id="video_scalar"),
+        pytest.param(np.ones((2, 4)), np.ones(0),
+                     "video descriptor for clip 'a' must be a 1-d vector, got shape (0,)", id="video_empty"),
+    ])
+    def test_malformed_arrays_are_rejected_before_any_write(self, tmp_path, frames, video, message):
+        store = FeatureStore.create(tmp_path / "s")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            store.write_clip("a", frames, video)
+        assert list((tmp_path / "s").iterdir()) == []
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))  # the failed write took neither the id nor the widths
+        store.seal()
+        assert FeatureStore.open(tmp_path / "s").c == 4
+
+    def test_read_clip_returns_float32_arrays(self, tmp_path):
+        store = FeatureStore.create(tmp_path / "s")
+        store.write_clip("a", np.arange(6.0).reshape(3, 2), [7.0, 8.0])
+        store.seal()
+        frames, video = FeatureStore.open(tmp_path / "s").read_clip("a")
+        assert frames.dtype == video.dtype == np.float32
+        assert frames.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]] and video.tolist() == [7.0, 8.0]
 
 
 class TestTextTable:

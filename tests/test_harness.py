@@ -8,13 +8,11 @@ import pytest
 
 from cliplta import (
     FeatureStore,
-    FrameEmbeddingSequence,
     LtaModel,
     LtaModelConfig,
     SynthConfig,
     TrainConfig,
     ValidationError,
-    VideoDescriptor,
     generate,
     load_checkpoint,
     run_eval,
@@ -290,8 +288,7 @@ class TestLoadDataset:
     def test_mixed_frame_counts_name_the_manifest_entry(self, tmp_path):
         store = FeatureStore.create(tmp_path / "s")
         for clip_id, n_frames in (("e#0", 3), ("e#1", 4)):
-            store.write_clip(FrameEmbeddingSequence(clip_id, np.ones((n_frames, 2))),
-                             VideoDescriptor(clip_id, np.ones(2)))
+            store.write_clip(clip_id, np.ones((n_frames, 2)), np.ones(2))
         store.seal()
         ids = np.zeros((1, 1), dtype=np.int64)
         where = re.escape(f"store manifest {tmp_path / 's' / 'manifest.json'}: clips[1].n_frames is 4; expected 3")

@@ -1,15 +1,19 @@
-"""Pinned output bytes of a tiny train + eval run of every variant.
+"""Pinned output bytes of the tiny synthetic set-up and of a train + eval run of every variant.
 
-Each pin is the sha256 of ``helpers.output_fingerprints`` of one run: every
-checkpoint blob, the run-log losses and validation EDs, the prediction file
-and the report. A change that claims to keep every output byte is checked
-here rather than by hand.
+``SETUP_PIN`` is the sha256 of every file ``generate`` writes: the store
+manifest and blobs, both ground-truth files, the taxonomy, the synth config
+and the latents. Each of ``PINS`` is the sha256 of
+``helpers.output_fingerprints`` of one run: every checkpoint blob, the
+run-log losses and validation EDs, the prediction file and the report. A
+change that claims to keep every output byte is checked here rather than by
+hand.
 
 Float bytes depend on the numeric stack (numpy, and the BLAS kernels its
 GEMMs run on), so the pins hold only on the stack they were recorded on; on
 any other stack the test skips and names both stacks. To re-record after a
 change that is meant to move numerics, print ``_run_digest`` for each
-variant and replace ``PINS`` together with ``PINNED_STACK``.
+variant and ``_setup_digest`` of the fixture, and replace ``PINS``,
+``SETUP_PIN`` and ``PINNED_STACK`` together.
 """
 
 import hashlib
@@ -32,6 +36,8 @@ def numeric_stack() -> str:
 PINNED_STACK = ("numpy 2.4.6; scipy-openblas 0.3.31.188.0 "
                 "(OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64)")
 
+SETUP_PIN = "bdc5f1f2e12fa0ee89083cd675eb68899abf75146944c14713f6e2e1281cb769"
+
 PINS = {
     "baseline": "41598342e783a7faf3b759925c2f9efa24b75c0ce444e2cf85f9ff695479dfc8",
     "clip_img_only": "6dfe58cf32c16235764d658d5e46fb8ff39ef2d41ef9df0aeb96de4b2308e162",
@@ -46,6 +52,14 @@ def data(tmp_path_factory):
     cfg = SynthConfig(n_train=24, n_val=8, n_input_clips=2, N=3, c=8, d_video=8,
                       Z=3, n_verbs=4, n_nouns=4, noise_std=0.1, seed=5)
     return generate(cfg, tmp_path_factory.mktemp("pinned"))
+
+
+def _setup_digest(data) -> str:
+    """Digest of every file ``generate`` wrote under the dataset root, keyed by relative path."""
+    files = sorted(path for path in data.root.rglob("*") if path.is_file())
+    fingerprints = {str(path.relative_to(data.root)): hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in files}
+    return hashlib.sha256(json.dumps(fingerprints, sort_keys=True).encode()).hexdigest()
 
 
 def _run_digest(data, run_dir, variant: str) -> str:
@@ -66,3 +80,15 @@ def test_trained_outputs_match_the_pins(data, tmp_path, variant):
     if stack != PINNED_STACK:
         pytest.skip(f"pins recorded on {PINNED_STACK!r}; this stack is {stack!r}")
     assert _run_digest(data, tmp_path / variant, variant) == PINS[variant]
+
+
+def test_set_up_files_match_the_pin(data):
+    stack = numeric_stack()
+    if stack != PINNED_STACK:
+        pytest.skip(f"pins recorded on {PINNED_STACK!r}; this stack is {stack!r}")
+    # the pin covers exactly these files: nothing else, a temporary file included, is left behind
+    names = {str(path.relative_to(data.root)) for path in data.root.rglob("*") if path.is_file()}
+    blobs = {f"store/clip_{i:06d}.{kind}.bin" for i in range((24 + 8) * 2) for kind in ("frames", "video")}
+    assert names == {"gt_train.json", "gt_val.json", "latents.json", "synth_config.json", "taxonomy.json",
+                     "store/manifest.json"} | blobs
+    assert _setup_digest(data) == SETUP_PIN

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliplta import FeatureStore, FrameEmbeddingSequence, VideoDescriptor, ed_at_zk, edit_distance, sample_candidates
+from cliplta import FeatureStore, ed_at_zk, edit_distance, sample_candidates
 from cliplta.harness import load_dataset
 from helpers import reference_edit_distance, reference_load_dataset, reference_sample_candidates
 
@@ -128,8 +128,7 @@ def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
         store = FeatureStore.create(root)
         for b, eid in enumerate(example_ids):
             for t in range(T):
-                store.write_clip(FrameEmbeddingSequence(f"{eid}#{t}", frames[b, t]),
-                                 VideoDescriptor(f"{eid}#{t}", video[b, t]))
+                store.write_clip(f"{eid}#{t}", frames[b, t], video[b, t])
         store.seal()
         store = FeatureStore.open(root)
         got = load_dataset(store, example_ids, verb_ids, noun_ids, T)
@@ -140,9 +139,9 @@ def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
         assert got.frames.tobytes() == frames.tobytes() and got.video.tobytes() == video.tobytes()
         # each array read_clip returns is its own: writing into it leaves the next read unchanged
         clip_frames, clip_video = store.read_clip("e0#0")
-        for array in (clip_frames.frames, clip_video.vector):
+        for array in (clip_frames, clip_video):
             assert array.flags.writeable and array.flags.owndata
             array[...] = 7.0
         again_frames, again_video = store.read_clip("e0#0")
-        assert again_frames.frames.tobytes() == frames[0, 0].tobytes()
-        assert again_video.vector.tobytes() == video[0, 0].tobytes()
+        assert again_frames.tobytes() == frames[0, 0].tobytes()
+        assert again_video.tobytes() == video[0, 0].tobytes()

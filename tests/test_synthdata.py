@@ -61,7 +61,7 @@ class TestGenerate:
             proto = frame_prototype(cfg, latent["z_noun"]).astype(np.float32)
             for t in range(cfg.n_input_clips):
                 frames, _ = store.read_clip(f"{example_id}#{t}")
-                np.testing.assert_array_equal(frames.frames, np.tile(proto, (cfg.N, 1)))
+                np.testing.assert_array_equal(frames, np.tile(proto, (cfg.N, 1)))
 
     def test_gt_lengths_and_ranges(self, tmp_path):
         cfg = small_cfg()
@@ -89,7 +89,7 @@ class TestGenerate:
         correct = 0
         for gt in ds.gt_train:
             frames, _ = store.read_clip(f"{gt.example_id}#0")
-            pooled = mean_pool(frames.frames)
+            pooled = mean_pool(frames)
             z_hat = int(np.argmax(protos @ (pooled / np.linalg.norm(pooled))))
             correct += z_hat == ds.latents[gt.example_id]["z_noun"]
         assert correct / cfg.n_train >= 0.99
@@ -114,7 +114,7 @@ class TestSignalModes:
             cosines = []
             for gt in ds.gt_train:
                 frames, _ = store.read_clip(f"{gt.example_id}#0")
-                pooled = mean_pool(frames.frames)
+                pooled = mean_pool(frames)
                 proto = frame_prototype(cfg, ds.latents[gt.example_id]["z_noun"])
                 cosines.append(float(pooled @ proto / np.linalg.norm(pooled)))
             means.append(np.mean(cosines))
@@ -126,7 +126,7 @@ class TestSignalModes:
         store = FeatureStore.open(ds.store_path)
         example_id = ds.gt_train[0].example_id
         frames, _ = store.read_clip(f"{example_id}#0")
-        norms = np.linalg.norm(frames.frames, axis=1)
+        norms = np.linalg.norm(frames, axis=1)
         assert np.sum(norms > 0.5) == 1
 
     def test_split_mode_draws_independent_latents(self, tmp_path):
@@ -142,5 +142,5 @@ class TestSignalModes:
         protos = np.stack([video_prototype(cfg, z) for z in range(cfg.n_classes)])
         for gt in ds.gt_train[:20]:
             _, video = store.read_clip(f"{gt.example_id}#0")
-            z_hat = int(np.argmax(protos @ video.vector))
+            z_hat = int(np.argmax(protos @ video))
             assert z_hat == ds.latents[gt.example_id]["z_verb"]
