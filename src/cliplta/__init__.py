@@ -37,12 +37,6 @@ from .model import (
     save_checkpoint,
 )
 from .synthdata import SynthConfig, SynthDataset, generate
-from .taxonomy import (
-    ActionLabel,
-    GroundTruthSequence,
-    Taxonomy,
-    load_taxonomy,
-    save_taxonomy,
-)
+from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
 
 __version__ = "0.1.0"

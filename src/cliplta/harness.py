@@ -30,7 +30,7 @@ import numpy as np
 from .aggregate import img_text_concat, mean_pool
 from .errors import NumericError, ValidationError, write_file
 from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
-from .metrics import EvalReport, check_label_ids, ed_at_zk, read_ground_truth, score
+from .metrics import EvalReport, check_labels, ed_at_zk, read_ground_truth, score, write_predictions
 # run_eval scores from memory and does not call evaluate; the name is bound here because the
 # benchmark's tracer (perfbench/spans.py) wraps harness.evaluate, and fails without it
 from .metrics import evaluate  # noqa: F401
@@ -39,11 +39,11 @@ from .model import (
     LtaModel,
     LtaModelConfig,
     batch_loss_and_grads,
+    check_minimums,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
     variant_spec,
-    write_predictions,
 )
 from .taxonomy import CATEGORIES, Taxonomy, load_taxonomy
 
@@ -91,6 +91,12 @@ class TrainConfig:
             raise ValidationError(f"temperature must be > 0, got {self.temperature}")
         if self.K < 1:
             raise ValidationError(f"K must be >= 1, got {self.K}")
+        if self.eval_every < 0:
+            raise ValidationError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not 0 <= self.momentum < 1:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+        # the model's sizes, checked here so a bad one fails before any data is read
+        check_minimums(self, ("n_layers", "n_heads_agg", "d_ff", "d_attn", "n_heads_ca"))
 
 
 @dataclass
@@ -211,11 +217,7 @@ def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, var
     the split sets its own.
     """
     example_ids, verb_ids, noun_ids, gt_hash = read_ground_truth(gt_path)
-    if gt_hash != taxonomy.sha256():
-        raise ValidationError(f"ground truth {gt_path}: taxonomy hash does not match the taxonomy file")
-    if not example_ids:
-        raise ValidationError(f"ground truth {gt_path}: 'examples' is empty")
-    check_label_ids(gt_path, example_ids, verb_ids, noun_ids, taxonomy)
+    check_labels(gt_path, example_ids, verb_ids, noun_ids, gt_hash, taxonomy)
     Z = verb_ids.shape[1]
     n_input_clips = infer_clips_per_example(store, example_ids[0])
     if shape is not None and (Z, n_input_clips) != shape:

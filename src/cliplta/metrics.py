@@ -17,20 +17,25 @@ candidates and (B, Z) ground truth, as ``read_ground_truth`` returns it.
 ``score`` is the one scorer that turns those arrays into an ``EvalReport``:
 ``evaluate`` calls it on the files it reads and checks, and
 ``harness.run_eval`` on the arrays it already holds.
+
+Ground truth, (N, Z) ids per field, and predictions, (P, K, Z), are one
+label-file format that differs only in its dimensions: their public readers
+and writers share one private reader and one writer over id arrays, and
+``check_labels`` is the one check of a file's labels against the taxonomy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError, read_json_object, require, write_file
-from .model import read_predictions
-from .taxonomy import GroundTruthSequence, Taxonomy
+from .taxonomy import Taxonomy
 
 
 def edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -128,23 +133,6 @@ def ed_at_zk(pred_verb: np.ndarray, pred_noun: np.ndarray,
     return scores[0], scores[1]
 
 
-def check_label_ids(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
-                    taxonomy: Taxonomy) -> None:
-    """Raise ValidationError naming the file, example and field of the first id outside ``taxonomy``.
-
-    verb/noun: id arrays whose leading axis runs over ``example_ids``.
-    """
-    for field, ids, n_classes in (("verb", verb, len(taxonomy.verbs)), ("noun", noun, len(taxonomy.nouns))):
-        bad = (ids < 0) | (ids >= n_classes)
-        if bad.any():
-            first = np.argwhere(bad)[0]
-            where = "".join(f"[{i}]" for i in first[1:])
-            raise ValidationError(
-                f"{path}: example {example_ids[first[0]]!r} {field}{where} = {ids[tuple(first)]} "
-                f"is out of range for {n_classes} {field}s"
-            )
-
-
 @dataclass(frozen=True)
 class EvalReport:
     verb_ed: float
@@ -166,57 +154,147 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# ground-truth file format
+# label files: ground truth and predictions
 # ---------------------------------------------------------------------------
 
+# (what, entries key, dimensions) of each label file: ground truth holds (N, Z) ids per
+# field, predictions (P, K, Z)
+_GROUND_TRUTH = ("ground truth file", "examples", ("Z",))
+_PREDICTIONS = ("prediction file", "predictions", ("K", "Z"))
 
-def write_ground_truth(path: str | Path, sequences: list[GroundTruthSequence], Z: int,
+
+def write_ground_truth(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
                        taxonomy_sha256: str) -> None:
-    for seq in sequences:
-        if len(seq.actions) != Z:
-            raise ValidationError(f"ground truth for {seq.example_id!r} has length {len(seq.actions)}, expected {Z}")
-    payload = {
-        "version": 1,
-        "Z": Z,
-        "taxonomy_sha256": taxonomy_sha256,
-        "examples": {
-            seq.example_id: {"verb": seq.verb_ids, "noun": seq.noun_ids}
-            for seq in sorted(sequences, key=lambda s: s.example_id)
-        },
-    }
-    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write ground truth verb/noun (N, Z) of examples ``example_ids``; Z comes from the shape."""
+    _write_label_file(path, *_GROUND_TRUTH, example_ids, verb, noun, taxonomy_sha256)
 
 
 def read_ground_truth(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:
     """Returns (example ids in sorted order, verb (N, Z) int64, noun (N, Z) int64, taxonomy_sha256)."""
+    return _read_label_file(path, *_GROUND_TRUTH)
+
+
+def write_predictions(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
+                      taxonomy_sha256: str) -> None:
+    """Write candidates verb/noun (P, K, Z) of examples ``example_ids``; K and Z come from the shape."""
+    _write_label_file(path, *_PREDICTIONS, example_ids, verb, noun, taxonomy_sha256)
+
+
+def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:
+    """Returns (example ids in sorted order, verb (P, K, Z) int64, noun (P, K, Z) int64, taxonomy_sha256)."""
+    return _read_label_file(path, *_PREDICTIONS)
+
+
+def _write_label_file(path: str | Path, what: str, key: str, dims: tuple[str, ...], example_ids: list[str],
+                      verb: np.ndarray, noun: np.ndarray, taxonomy_sha256: str) -> None:
+    """Write one label file: its dimensions from the arrays' shape, entries keyed and sorted by example id."""
+    verb = np.asarray(verb, dtype=np.int64)
+    noun = np.asarray(noun, dtype=np.int64)
+    if verb.ndim != 1 + len(dims) or verb.shape != noun.shape or len(verb) != len(example_ids):
+        raise ValidationError(
+            f"cannot write {what} {path}: verb and noun must be matching (N, {', '.join(dims)}) id arrays "
+            f"for N={len(example_ids)} examples; got {verb.shape} and {noun.shape}"
+        )
+    payload = {
+        "version": 1,
+        **dict(zip(dims, verb.shape[1:])),
+        "taxonomy_sha256": taxonomy_sha256,
+        # sort_keys orders the entries by example id
+        key: {example_id: {"verb": v, "noun": n}
+              for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())},
+    }
+    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _read_label_file(path: str | Path, what: str, key: str,
+                     dims: tuple[str, ...]) -> tuple[list[str], np.ndarray, np.ndarray, str]:
+    """(sorted example ids, verb, noun, taxonomy_sha256) of one label file; verb/noun are (N, *dims) int64.
+
+    Every field is checked: ``version`` is 1, each dimension an integer >= 1,
+    ``taxonomy_sha256`` a string, the entries an object of objects, and each
+    entry's ``verb`` and ``noun`` nested lists of the file's shape holding
+    JSON integers (not bools) inside the int64 range. Each check runs over
+    all entries at once; only a failed one looks for its location, and the
+    ValidationError names the file, the example and the index.
+    """
     path = Path(path)
     if not path.is_file():
-        raise ValidationError(f"ground truth file not found: {path}")
-    payload = read_json_object(path, "ground truth file")
-    what = f"ground truth file {path}"
-    if payload.get("version") != 1:
-        raise ValidationError(f"{what}: 'version' must be 1, got {payload.get('version')!r}")
-    Z = require(payload.get("Z"), int, f"{what}: 'Z'")
-    if Z < 1:
-        raise ValidationError(f"{what}: 'Z' must be >= 1, got {Z}")
-    taxonomy_sha256 = require(payload.get("taxonomy_sha256"), str, f"{what}: 'taxonomy_sha256'")
-    examples = require(payload.get("examples"), dict, f"{what}: 'examples'")
-    example_ids = sorted(examples)
-    rows = {"verb": [], "noun": []}
-    for example_id in example_ids:
-        entry = require(examples[example_id], dict, f"{what}: example {example_id!r}")
-        for field, out in rows.items():
-            ids = entry.get(field)
-            if not (isinstance(ids, list) and len(ids) == Z):
-                raise ValidationError(f"{what}: example {example_id!r} '{field}' must be a list of Z={Z} ids")
-            for i, label_id in enumerate(ids):
-                require(label_id, int, f"{what}: example {example_id!r} {field}[{i}]")
-            out.append(ids)
-    try:
-        verb, noun = (np.array(rows[field], dtype=np.int64).reshape(len(example_ids), Z) for field in rows)
-    except OverflowError as e:
-        raise ValidationError(f"{what}: 'examples' holds an id outside the int64 range") from e
+        raise ValidationError(f"{what} not found: {path}")
+    payload = read_json_object(path, what)
+    where = f"{what} {path}"
+    version = payload.get("version")
+    if type(version) is not int or version != 1:
+        raise ValidationError(f"{where}: 'version' must be 1, got {version!r}")
+    shape = []
+    for dim in dims:
+        size = require(payload.get(dim), int, f"{where}: '{dim}'")
+        if size < 1:
+            raise ValidationError(f"{where}: '{dim}' must be >= 1, got {size}")
+        shape.append(size)
+    taxonomy_sha256 = require(payload.get("taxonomy_sha256"), str, f"{where}: 'taxonomy_sha256'")
+    entries = require(payload.get(key), dict, f"{where}: '{key}'")
+    example_ids = sorted(entries)
+    rows = [entries[example_id] for example_id in example_ids]
+    if not set(map(type, rows)) <= {dict}:
+        bad = next(i for i, row in enumerate(rows) if type(row) is not dict)
+        raise ValidationError(f"{where}: example {example_ids[bad]!r} must be an object, got {rows[bad]!r}")
+    verb, noun = (_label_ids(where, example_ids, field, [row.get(field) for row in rows], dims, shape)
+                  for field in ("verb", "noun"))
     return example_ids, verb, noun, taxonomy_sha256
+
+
+def _label_ids(where: str, example_ids: list[str], field: str, values: list, dims: tuple[str, ...],
+               shape: list[int]) -> np.ndarray:
+    """``values``, one nested list per example, as an int64 array (N, *shape).
+
+    The lists are checked and flattened one level at a time; a failed check
+    unravels the flat position of its first failure into the example and
+    the index, e.g. ``example 'a' verb[1][0]``.
+    """
+    def error(depth: int, flat: int, problem: str) -> ValidationError:
+        example, *index = np.unravel_index(flat, (len(example_ids), *shape[:depth]))
+        location = field + "".join(f"[{i}]" for i in index)
+        return ValidationError(f"{where}: example {example_ids[example]!r} {location} {problem}")
+
+    for depth, (dim, size) in enumerate(zip(dims, shape)):
+        if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {size}):
+            bad = next(i for i, v in enumerate(values) if type(v) is not list or len(v) != size)
+            inner = "lists" if depth + 1 < len(dims) else "ids"
+            raise error(depth, bad, f"must be a list of {dim}={size} {inner}, got {values[bad]!r}")
+        values = list(chain.from_iterable(values))
+    if not set(map(type, values)) <= {int}:  # type(...) is int: JSON integers, not bools
+        bad = next(i for i, v in enumerate(values) if type(v) is not int)
+        raise error(len(dims), bad, f"must be an integer, got {values[bad]!r}")
+    try:
+        return np.array(values, dtype=np.int64).reshape(len(example_ids), *shape)
+    except OverflowError:
+        bad = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+        raise error(len(dims), bad, f"= {values[bad]} is outside the int64 range") from None
+
+
+def check_labels(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
+                 taxonomy_sha256: str, taxonomy: Taxonomy) -> None:
+    """Raise ValidationError naming ``path`` unless its labels fit ``taxonomy``.
+
+    The file's ``taxonomy_sha256`` must be the taxonomy's hash, ``example_ids``
+    must not be empty, and every id of verb/noun, arrays whose leading axis
+    runs over ``example_ids``, must lie in the taxonomy; the first id outside
+    it is named by its example and index. A prediction file is checked on
+    the rows of the ground truth's examples, which are checked first.
+    """
+    if taxonomy_sha256 != taxonomy.sha256():
+        raise ValidationError(f"{path}: 'taxonomy_sha256' is not the hash of the taxonomy")
+    if not example_ids:
+        raise ValidationError(f"{path}: 'examples' is empty")
+    for field, ids, n_classes in (("verb", verb, len(taxonomy.verbs)), ("noun", noun, len(taxonomy.nouns))):
+        bad = (ids < 0) | (ids >= n_classes)
+        if bad.any():
+            first = np.argwhere(bad)[0]
+            where = "".join(f"[{i}]" for i in first[1:])
+            raise ValidationError(
+                f"{path}: example {example_ids[first[0]]!r} {field}{where} = {ids[tuple(first)]} "
+                f"is out of range for {n_classes} {field}s"
+            )
 
 
 def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> EvalReport:
@@ -228,18 +306,11 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
     """
     gt_ids, gt_verb, gt_noun, gt_hash = read_ground_truth(gt_file)
     pred_ids, pred_verb, pred_noun, pred_hash = read_predictions(pred_file)
-    tax_hash = taxonomy.sha256()
-    if gt_hash != tax_hash:
-        raise ValidationError("ground truth taxonomy hash does not match the provided taxonomy")
-    if pred_hash != tax_hash:
-        raise ValidationError("prediction taxonomy hash does not match the provided taxonomy")
+    check_labels(gt_file, gt_ids, gt_verb, gt_noun, gt_hash, taxonomy)
     n_examples, Z = gt_verb.shape
     pred_z = pred_verb.shape[2]
     if pred_z != Z:
         raise ValidationError(f"prediction horizon Z={pred_z} does not match ground truth Z={Z}")
-    if n_examples == 0:
-        raise ValidationError("ground truth file contains no examples")
-    check_label_ids(gt_file, gt_ids, gt_verb, gt_noun, taxonomy)
 
     row_of = dict(zip(pred_ids, range(len(pred_ids))))
     missing = set(gt_ids).difference(row_of)
@@ -247,7 +318,7 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
         raise ValidationError(f"prediction file is missing example {min(missing)!r}")
     rows = np.fromiter(map(row_of.get, gt_ids), dtype=np.int64, count=n_examples)
     pred_verb, pred_noun = pred_verb[rows], pred_noun[rows]
-    check_label_ids(pred_file, gt_ids, pred_verb, pred_noun, taxonomy)
+    check_labels(pred_file, gt_ids, pred_verb, pred_noun, pred_hash, taxonomy)
     return score(gt_ids, pred_verb, pred_noun, gt_verb, gt_noun)
 
 

@@ -19,8 +19,8 @@ definition: every site that depends on the variant reads it there.
                             end-to-end through the aggregator
 
 All forward/backward passes are deterministic functions of (parameters,
-inputs). Candidate sampling and the prediction file work on (B, K, Z)
-arrays; sampling takes one explicit seed per example.
+inputs). Candidate sampling returns (B, K, Z) arrays and takes one explicit
+seed per example; ``cliplta.metrics`` reads and writes the prediction file.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 
 from . import nn
 from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
-from .errors import (NumericError, ValidationError, build_config, read_blob, read_json_object, require,
-                     require_file_name, write_blob, write_file)
+from .errors import (NumericError, ValidationError, build_config, read_blob, read_json_object, require_file_name,
+                     write_blob, write_file)
 from .featurestore import stub_embed
 
 
@@ -67,6 +67,18 @@ def variant_spec(name: str) -> Variant:
 
 DEFAULT_ATTENTION_PROMPT = "a video of a person performing an action"
 
+# the least value of each integer size of LtaModelConfig; d_ff = 0 and d_attn = 0 mean the default width
+CONFIG_MINIMUM = {**dict.fromkeys(("n_verbs", "n_nouns", "c", "d_video", "n_input_clips", "Z", "n_layers",
+                                   "n_heads_agg", "n_heads_ca"), 1), "d_ff": 0, "d_attn": 0}
+
+
+def check_minimums(config, names) -> None:
+    """Raise ValidationError naming the first field of ``names`` below its ``CONFIG_MINIMUM`` in ``config``."""
+    for name in names:
+        value = getattr(config, name)
+        if value < CONFIG_MINIMUM[name]:
+            raise ValidationError(f"config field {name} must be >= {CONFIG_MINIMUM[name]}, got {value}")
+
 
 @dataclass
 class LtaModelConfig:
@@ -90,9 +102,7 @@ class LtaModelConfig:
 
     def __post_init__(self):
         variant_spec(self.variant)
-        for name in ("n_verbs", "n_nouns", "c", "d_video", "n_input_clips", "Z", "n_layers", "n_heads_agg"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"config field {name} must be >= 1")
+        check_minimums(self, CONFIG_MINIMUM)
         if self.d_model % self.n_heads_agg != 0:
             raise ValidationError(
                 f"d_model={self.d_model} (variant {self.variant!r}) not divisible by n_heads_agg={self.n_heads_agg}"
@@ -311,7 +321,7 @@ def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, 
 
 
 # ---------------------------------------------------------------------------
-# checkpoint and prediction-file formats
+# checkpoint format
 # ---------------------------------------------------------------------------
 
 PARAMS_MANIFEST = "params.json"
@@ -379,68 +389,3 @@ def load_checkpoint(ckpt_dir: str | Path, dtype=np.float32) -> LtaModel:
         except ValidationError as e:
             raise ValidationError(f"{what} 'file': {e}") from e
     return model
-
-
-def write_predictions(path: str | Path, example_ids: list[str], verb: np.ndarray, noun: np.ndarray,
-                      taxonomy_sha256: str) -> None:
-    """Write candidates verb/noun (P, K, Z) of examples ``example_ids``; K and Z come from the shape."""
-    verb = np.asarray(verb, dtype=np.int64)
-    noun = np.asarray(noun, dtype=np.int64)
-    if verb.ndim != 3 or verb.shape != noun.shape or len(example_ids) != len(verb):
-        raise ValidationError(
-            f"predictions must be matching (P, K, Z) id arrays for P={len(example_ids)} examples; "
-            f"got {verb.shape} and {noun.shape}"
-        )
-    _, K, Z = verb.shape
-    payload = {
-        "version": 1,
-        "Z": Z,
-        "K": K,
-        "taxonomy_sha256": taxonomy_sha256,
-        # sort_keys orders the examples by id
-        "predictions": {
-            example_id: {"verb": v, "noun": n}
-            for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())
-        },
-    }
-    write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, str]:
-    """Returns (example ids in sorted order, verb (P, K, Z) int64, noun (P, K, Z) int64, taxonomy_sha256).
-
-    Every field is checked; a malformed file raises ValidationError naming
-    the file, the example and the field.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"prediction file not found: {path}")
-    payload = read_json_object(path, "prediction file")
-    what = f"prediction file {path}"
-    if payload.get("version") != 1:
-        raise ValidationError(f"{what}: 'version' must be 1, got {payload.get('version')!r}")
-    Z = require(payload.get("Z"), int, f"{what}: 'Z'")
-    K = require(payload.get("K"), int, f"{what}: 'K'")
-    if Z < 1 or K < 1:
-        raise ValidationError(f"{what}: 'Z' and 'K' must be >= 1, got Z={Z}, K={K}")
-    taxonomy_sha256 = require(payload.get("taxonomy_sha256"), str, f"{what}: 'taxonomy_sha256'")
-    predictions = require(payload.get("predictions"), dict, f"{what}: 'predictions'")
-    example_ids = sorted(predictions)
-    rows = {"verb": [], "noun": []}
-    for example_id in example_ids:
-        entry = require(predictions[example_id], dict, f"{what}: example {example_id!r}")
-        for field, out in rows.items():
-            seqs = entry.get(field)
-            # type(...) is int: JSON integers, not bools
-            if not (isinstance(seqs, list) and len(seqs) == K and all(
-                    isinstance(seq, list) and len(seq) == Z and all(type(i) is int for i in seq)
-                    for seq in seqs)):
-                raise ValidationError(
-                    f"{what}: example {example_id!r} '{field}' must be K={K} lists of Z={Z} integers"
-                )
-            out.append(seqs)
-    try:
-        verb, noun = (np.array(rows[field], dtype=np.int64).reshape(len(example_ids), K, Z) for field in rows)
-    except OverflowError as e:
-        raise ValidationError(f"{what}: 'predictions' holds an id outside the int64 range") from e
-    return example_ids, verb, noun, taxonomy_sha256

@@ -20,6 +20,8 @@ Three signal layouts:
 Generation is a pure function of the config: per-example generators are
 derived from (seed, split, example_index), so output bytes are reproducible
 and per-example generation could be parallelized without changing them.
+The labels of each split go from ``label_sequence`` id lists straight to
+``metrics.write_ground_truth``; read them back with ``read_ground_truth``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ValidationError, write_file
 from .featurestore import FeatureStore, stub_embed
 from .metrics import write_ground_truth
-from .taxonomy import ActionLabel, GroundTruthSequence, Taxonomy, save_taxonomy
+from .taxonomy import Taxonomy, save_taxonomy
 
 SIGNAL_MODES = ("dense", "single_frame", "split")
 
@@ -81,8 +83,6 @@ class SynthConfig:
 class SynthDataset:
     root: Path
     taxonomy: Taxonomy
-    gt_train: list[GroundTruthSequence]
-    gt_val: list[GroundTruthSequence]
     latents: dict[str, dict]
 
     @property
@@ -124,16 +124,10 @@ def _hash_label(seed: int, z: int, t: int, field: str, n: int) -> int:
     return int.from_bytes(digest, "little") % n
 
 
-def label_sequence(cfg: SynthConfig, example_id: str, z_verb: int, z_noun: int) -> GroundTruthSequence:
-    """The fixed pseudo-random action sequence for a latent class pair."""
-    actions = tuple(
-        ActionLabel(
-            verb_id=_hash_label(cfg.seed, z_verb, t, "verb", cfg.n_verbs),
-            noun_id=_hash_label(cfg.seed, z_noun, t, "noun", cfg.n_nouns),
-        )
-        for t in range(cfg.Z)
-    )
-    return GroundTruthSequence(example_id=example_id, actions=actions)
+def label_sequence(cfg: SynthConfig, z_verb: int, z_noun: int) -> tuple[list[int], list[int]]:
+    """The fixed pseudo-random Z verb ids and Z noun ids for a latent class pair."""
+    return ([_hash_label(cfg.seed, z_verb, t, "verb", cfg.n_verbs) for t in range(cfg.Z)],
+            [_hash_label(cfg.seed, z_noun, t, "noun", cfg.n_nouns) for t in range(cfg.Z)])
 
 
 def _example_rng(cfg: SynthConfig, split_index: int, example_index: int) -> np.random.Generator:
@@ -166,8 +160,9 @@ def _generate_example(cfg: SynthConfig, rng: np.random.Generator,
 def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
     """Write a feature store, ground-truth files, and taxonomy under out_dir.
 
-    Returns the in-memory dataset handle; ``latents`` maps example id to the
-    drawn class(es), for diagnostics and oracle tests.
+    Returns the dataset handle: its paths, its taxonomy, and ``latents``,
+    which maps example id to the drawn class(es), for diagnostics and oracle
+    tests.
     """
     out_dir = Path(out_dir)
     taxonomy = make_taxonomy(cfg)
@@ -175,31 +170,25 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
     protos_video = np.stack([video_prototype(cfg, z) for z in range(cfg.n_classes)])
 
     store = FeatureStore.create(out_dir / "store", c=cfg.c, d_video=cfg.d_video)
-    gt_by_split: dict[str, list[GroundTruthSequence]] = {"train": [], "val": []}
-    latents: dict[str, dict] = {}
+    dataset = SynthDataset(root=out_dir, taxonomy=taxonomy, latents={})
+    splits = (("train", cfg.n_train, dataset.gt_train_path), ("val", cfg.n_val, dataset.gt_val_path))
 
-    for split_index, (split, count) in enumerate((("train", cfg.n_train), ("val", cfg.n_val))):
-        for i in range(count):
-            example_id = f"{split}_{i:05d}"
+    for split_index, (split, count, gt_path) in enumerate(splits):
+        example_ids = [f"{split}_{i:05d}" for i in range(count)]
+        verb, noun = [], []
+        for i, example_id in enumerate(example_ids):
             rng = _example_rng(cfg, split_index, i)
             z_verb, z_noun, frames, video = _generate_example(cfg, rng, protos_frame, protos_video)
             for t in range(cfg.n_input_clips):
                 store.write_clip(f"{example_id}#{t}", frames[t], video[t])
-            gt_by_split[split].append(label_sequence(cfg, example_id, z_verb, z_noun))
-            latents[example_id] = {"z_verb": z_verb, "z_noun": z_noun}
+            verb_ids, noun_ids = label_sequence(cfg, z_verb, z_noun)
+            verb.append(verb_ids)
+            noun.append(noun_ids)
+            dataset.latents[example_id] = {"z_verb": z_verb, "z_noun": z_noun}
+        write_ground_truth(gt_path, example_ids, verb, noun, taxonomy.sha256())
     store.seal()
 
-    tax_hash = taxonomy.sha256()
-    dataset = SynthDataset(
-        root=out_dir,
-        taxonomy=taxonomy,
-        gt_train=gt_by_split["train"],
-        gt_val=gt_by_split["val"],
-        latents=latents,
-    )
     save_taxonomy(taxonomy, dataset.taxonomy_path)
-    write_ground_truth(dataset.gt_train_path, dataset.gt_train, cfg.Z, tax_hash)
-    write_ground_truth(dataset.gt_val_path, dataset.gt_val, cfg.Z, tax_hash)
     write_file(out_dir / "synth_config.json", json.dumps(asdict(cfg), indent=2) + "\n")
-    write_file(out_dir / "latents.json", json.dumps(latents, sort_keys=True, separators=(",", ":")) + "\n")
+    write_file(out_dir / "latents.json", json.dumps(dataset.latents, sort_keys=True, separators=(",", ":")) + "\n")
     return dataset

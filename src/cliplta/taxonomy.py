@@ -73,26 +73,6 @@ class Taxonomy:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ActionLabel:
-    verb_id: int
-    noun_id: int
-
-
-@dataclass(frozen=True)
-class GroundTruthSequence:
-    example_id: str
-    actions: tuple[ActionLabel, ...]
-
-    @property
-    def verb_ids(self) -> list[int]:
-        return [a.verb_id for a in self.actions]
-
-    @property
-    def noun_ids(self) -> list[int]:
-        return [a.noun_id for a in self.actions]
-
-
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Read a taxonomy JSON file ({"verbs": [...], "nouns": [...], ...}).
 

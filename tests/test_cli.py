@@ -250,6 +250,8 @@ MALFORMED_FIELDS = {
     "config_learned_query_string": (CONFIG, lambda p: p.update(learned_query="no"),
                                     "'learned_query' must be a boolean"),
     "config_z_zero": (CONFIG, lambda p: p.update(Z=0), "config field Z must be >= 1"),
+    "config_n_heads_ca_zero": (CONFIG, lambda p: p.update(n_heads_ca=0), "config field n_heads_ca must be >= 1"),
+    "config_d_ff_negative": (CONFIG, lambda p: p.update(d_ff=-5), "config field d_ff must be >= 0, got -5"),
     "manifest_entry_without_file": ("run/checkpoint/params.json",
                                     lambda p: p["pos_embed"].pop("file"), "'file'"),
     "gt_examples_not_object": ("data/gt_val.json", lambda p: p.update(examples=[1]), "'examples'"),
@@ -406,6 +408,14 @@ MALFORMED_CONFIGS = {
     "train_seed_negative": ("train", lambda p: p.update(seed=-1), "seed must be >= 0, got -1"),
     "train_unknown_key": ("train", lambda p: p.update(extra=1), "unknown keys ['extra']"),
     "train_without_variant": ("train", lambda p: p.pop("variant"), "missing key 'variant'"),
+    # the model's sizes fail here, before the store or the ground truth is read
+    "train_n_heads_ca_zero": ("train", lambda p: p.update(n_heads_ca=0), "n_heads_ca must be >= 1, got 0"),
+    "train_n_heads_ca_negative": ("train", lambda p: p.update(n_heads_ca=-2), "n_heads_ca must be >= 1, got -2"),
+    "train_d_ff_negative": ("train", lambda p: p.update(d_ff=-5), "d_ff must be >= 0, got -5"),
+    "train_d_attn_negative": ("train", lambda p: p.update(d_attn=-4), "d_attn must be >= 0, got -4"),
+    "train_eval_every_negative": ("train", lambda p: p.update(eval_every=-1), "eval_every must be >= 0, got -1"),
+    "train_momentum_negative": ("train", lambda p: p.update(momentum=-0.5), "momentum must be in [0, 1), got -0.5"),
+    "train_momentum_above_one": ("train", lambda p: p.update(momentum=1.5), "momentum must be in [0, 1), got 1.5"),
     "synth_N_float": ("gen-synth", lambda p: p.update(N=2.5), "'N' must be an integer"),
     "synth_n_train_string": ("gen-synth", lambda p: p.update(n_train="4"), "'n_train' must be an integer"),
     "synth_noise_std_string": ("gen-synth", lambda p: p.update(noise_std="0.1"), "'noise_std' must be a number"),

@@ -21,9 +21,9 @@ from cliplta import (
 )
 from cliplta import harness, metrics
 from cliplta.harness import _predict_dataset, load_split
-from cliplta.metrics import evaluate, read_ground_truth, write_ground_truth
-from cliplta.model import VARIANTS, read_predictions
-from cliplta.taxonomy import ActionLabel, GroundTruthSequence, load_taxonomy
+from cliplta.metrics import evaluate, read_ground_truth, read_predictions, write_ground_truth
+from cliplta.model import VARIANTS
+from cliplta.taxonomy import load_taxonomy
 from helpers import output_fingerprints
 
 
@@ -33,12 +33,6 @@ def synth(tmp_path_factory):
     cfg = SynthConfig(n_train=24, n_val=8, n_input_clips=2, N=3, c=8, d_video=8,
                       Z=3, n_verbs=4, n_nouns=4, noise_std=0.1, seed=5)
     return generate(cfg, root)
-
-
-def gt_sequences(example_ids, verb, noun):
-    """Ground-truth sequences from (N, Z) id arrays, for write_ground_truth."""
-    return [GroundTruthSequence(eid, tuple(ActionLabel(int(v), int(n)) for v, n in zip(vs, ns)))
-            for eid, vs, ns in zip(example_ids, verb, noun)]
 
 
 def train_config(ds, out_dir, **kw):
@@ -115,8 +109,7 @@ class TestTrain:
 
     def test_val_split_with_other_horizon_rejected(self, synth, tmp_path):
         example_ids, verb, noun, gt_hash = read_ground_truth(synth.gt_val_path)
-        short = gt_sequences(example_ids, verb[:, :2], noun[:, :2])
-        write_ground_truth(tmp_path / "gt_short.json", short, 2, gt_hash)
+        write_ground_truth(tmp_path / "gt_short.json", example_ids, verb[:, :2], noun[:, :2], gt_hash)
         with pytest.raises(ValidationError, match="horizon Z=2"):
             train(train_config(synth, tmp_path / "r", val_gt=str(tmp_path / "gt_short.json")))
 
@@ -188,11 +181,9 @@ class TestRunEval:
         taxonomy = load_taxonomy(synth.taxonomy_path)
         store = FeatureStore.open(synth.store_path)
         dataset = load_split(store, synth.gt_val_path, taxonomy, model.config.variant, None)
-        Z = model.config.Z
         verb, noun = _predict_dataset(model, dataset, K=1, temperature=1.0, seed=0)
-        argmax_gt = gt_sequences(dataset.example_ids, verb[:, 0], noun[:, 0])
         gt_file = tmp_path / "argmax_gt.json"
-        write_ground_truth(gt_file, argmax_gt, Z, taxonomy.sha256())
+        write_ground_truth(gt_file, dataset.example_ids, verb[:, 0], noun[:, 0], taxonomy.sha256())
         _, report = run_eval(trained, synth.store_path, gt_file, synth.taxonomy_path,
                              K=3, seed=9, out_dir=tmp_path / "self")
         assert report.verb_ed == 0.0 and report.noun_ed == 0.0
@@ -258,7 +249,6 @@ class TestEvalDoesEachStepOnce:
             return read_predictions(path)
 
         monkeypatch.setattr(metrics, "read_predictions", spy)
-        monkeypatch.setattr("cliplta.model.read_predictions", spy)
         pred_file, _ = run_eval(variant_runs[variant] / "checkpoint", synth.store_path, synth.gt_val_path,
                                 synth.taxonomy_path, K=3, seed=2, out_dir=tmp_path)
         assert calls == []

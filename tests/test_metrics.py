@@ -1,16 +1,14 @@
+import ast
+import json
+from pathlib import Path
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 
-from cliplta import (
-    GroundTruthSequence,
-    ValidationError,
-    ed_at_zk,
-    edit_distance,
-    evaluate,
-)
-from cliplta.metrics import write_ground_truth
-from cliplta.model import read_predictions, write_predictions
-from cliplta.taxonomy import ActionLabel
+import cliplta
+from cliplta import ValidationError, ed_at_zk, edit_distance, evaluate
+from cliplta.metrics import read_ground_truth, read_predictions, write_ground_truth, write_predictions
 from helpers import brute_force_edit_distance
 
 
@@ -51,11 +49,6 @@ class TestEditDistance:
             assert edit_distance(a, a) == 0
             assert edit_distance(a, b) == edit_distance(b, a)
             assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
-
-
-def gt_of(example_id, verbs, nouns):
-    return GroundTruthSequence(example_id,
-                               tuple(ActionLabel(v, n) for v, n in zip(verbs, nouns)))
 
 
 def score_one(pred_verbs, pred_nouns, gt_verbs, gt_nouns):
@@ -119,11 +112,11 @@ class TestEdAtZK:
 def eval_setup(tmp_path, small_taxonomy):
     """Two-example gt/pred file pair builder."""
 
-    def build(pred_rows, gt_rows, Z=2, tamper_hash=False):
+    def build(pred_rows, gt_rows, tamper_hash=False):
         tax_hash = small_taxonomy.sha256()
         gt_file = tmp_path / "gt.json"
-        sequences = [gt_of(eid, verbs, nouns) for eid, verbs, nouns in gt_rows]
-        write_ground_truth(gt_file, sequences, Z, tax_hash)
+        write_ground_truth(gt_file, [eid for eid, _, _ in gt_rows], np.array([verbs for _, verbs, _ in gt_rows]),
+                           np.array([nouns for _, _, nouns in gt_rows]), tax_hash)
         pred_file = tmp_path / "pred.json"
         write_predictions(pred_file, [eid for eid, _, _ in pred_rows],
                           np.array([verbs for _, verbs, _ in pred_rows]),
@@ -179,15 +172,13 @@ class TestEvaluate:
     def test_z_mismatch_rejected(self, tmp_path, small_taxonomy, eval_setup):
         tax_hash = small_taxonomy.sha256()
         gt_file = tmp_path / "gt3.json"
-        write_ground_truth(gt_file, [gt_of("a", [0, 1, 2], [0, 1, 2])], 3, tax_hash)
+        write_ground_truth(gt_file, ["a"], np.array([[0, 1, 2]]), np.array([[0, 1, 2]]), tax_hash)
         pred_file = tmp_path / "pred2.json"
         write_predictions(pred_file, ["a"], np.array([[[0, 1]]]), np.array([[[0, 1]]]), tax_hash)
         with pytest.raises(ValidationError, match="Z"):
             evaluate(pred_file, gt_file, small_taxonomy)
 
     def test_k_mismatch_rejected(self, tmp_path, small_taxonomy, eval_setup):
-        import json
-
         pred_file, gt_file = eval_setup(
             [("a", [[0, 1], [0, 0]], [[0, 1], [0, 0]])], [("a", [0, 1], [0, 1])])
         payload = json.loads(pred_file.read_text())
@@ -198,46 +189,99 @@ class TestEvaluate:
             evaluate(pred_file, gt_file, small_taxonomy)
 
 
-# case -> (edit to the prediction file's JSON, text the error message must hold)
-MALFORMED_PREDICTIONS = {
-    "version_2": (lambda p: p.update(version=2), "'version'"),
-    "z_string": (lambda p: p.update(Z="x"), "'Z'"),
-    "k_bool": (lambda p: p.update(K=True), "'K'"),
-    "verb_id_float": (lambda p: p["predictions"]["a"]["verb"][1].__setitem__(0, 1.5), "'a' 'verb'"),
-    "noun_id_bool": (lambda p: p["predictions"]["b"]["noun"][0].__setitem__(2, True), "'b' 'noun'"),
-    "ragged_rows": (lambda p: p["predictions"]["b"]["noun"][0].append(0), "'b' 'noun'"),
-    "entry_not_object": (lambda p: p["predictions"].update(b=[1]), "'b'"),
-    "predictions_not_object": (lambda p: p.update(predictions=[]), "'predictions'"),
+class LabelFile(NamedTuple):
+    write: Callable
+    read: Callable
+    key: str            # the key of the entries
+    outer: str          # the outer dimension of each entry's ids: Z in ground truth, K in predictions
+    shape: tuple        # of the id arrays the tests write
+
+    def ids(self, payload, example, field, k):
+        """The id list of ``example``'s ``field``: candidate ``k``'s in a prediction file."""
+        value = payload[self.key][example][field]
+        return value[k] if self.key == "predictions" else value
+
+
+LABEL_FILES = {
+    "ground_truth": LabelFile(write_ground_truth, read_ground_truth, "examples", "Z", (2, 3)),
+    "predictions": LabelFile(write_predictions, read_predictions, "predictions", "K", (2, 2, 3)),
+}
+
+# case -> (edit to a label file's JSON, text the error message must hold for ground truth, for predictions)
+MALFORMED_LABEL_FILES = {
+    "version_2": (lambda f, p: p.update(version=2), "'version'", "'version'"),
+    "version_true": (lambda f, p: p.update(version=True), "'version'", "'version'"),
+    "z_string": (lambda f, p: p.update(Z="x"), "'Z'", "'Z'"),
+    "z_zero": (lambda f, p: p.update(Z=0), "'Z'", "'Z'"),
+    "outer_bool": (lambda f, p: p.update({f.outer: True}), "'Z'", "'K'"),
+    "outer_zero": (lambda f, p: p.update({f.outer: 0}), "'Z'", "'K'"),
+    "without_taxonomy_sha256": (lambda f, p: p.pop("taxonomy_sha256"), "'taxonomy_sha256'", "'taxonomy_sha256'"),
+    "entries_not_object": (lambda f, p: p.update({f.key: []}), "'examples'", "'predictions'"),
+    "entry_not_object": (lambda f, p: p[f.key].update(b=[1]), "'b'", "'b'"),
+    "without_noun": (lambda f, p: p[f.key]["b"].pop("noun"), "'b' noun", "'b' noun"),
+    "verb_id_float": (lambda f, p: f.ids(p, "a", "verb", 1).__setitem__(0, 1.5), "'a' verb[0]", "'a' verb[1][0]"),
+    "verb_id_null": (lambda f, p: f.ids(p, "b", "verb", 1).__setitem__(1, None), "'b' verb[1]", "'b' verb[1][1]"),
+    "noun_id_bool": (lambda f, p: f.ids(p, "b", "noun", 0).__setitem__(2, True), "'b' noun[2]", "'b' noun[0][2]"),
+    "ragged_rows": (lambda f, p: f.ids(p, "b", "noun", 0).append(0), "'b' noun", "'b' noun[0]"),
+    "id_2_pow_63": (lambda f, p: f.ids(p, "a", "noun", 1).__setitem__(1, 2**63), "'a' noun[1]", "'a' noun[1][1]"),
+    "id_below_int64": (lambda f, p: f.ids(p, "b", "verb", 0).__setitem__(0, -2**63 - 1), "'b' verb[0]",
+                       "'b' verb[0][0]"),
 }
 
 
-class TestReadPredictions:
-    def test_round_trip(self, tmp_path):
-        verb = np.arange(12).reshape(2, 3, 2)
-        write_predictions(tmp_path / "p.json", ["b", "a"], verb, verb + 1, "f" * 64)
-        ids, read_verb, read_noun, tax_hash = read_predictions(tmp_path / "p.json")
+class TestLabelFiles:
+    @pytest.mark.parametrize("kind", LABEL_FILES)
+    def test_round_trip(self, tmp_path, kind):
+        f = LABEL_FILES[kind]
+        verb = np.arange(np.prod(f.shape)).reshape(f.shape) - 3
+        f.write(tmp_path / "labels.json", ["b", "a"], verb, verb + 1, "f" * 64)
+        ids, read_verb, read_noun, tax_hash = f.read(tmp_path / "labels.json")
         assert ids == ["a", "b"] and tax_hash == "f" * 64
         assert read_verb.dtype == read_noun.dtype == np.int64
         np.testing.assert_array_equal(read_verb, verb[::-1])
         np.testing.assert_array_equal(read_noun, verb[::-1] + 1)
 
-    @pytest.mark.parametrize("case", MALFORMED_PREDICTIONS)
-    def test_malformed_file_is_validation_error_naming_it(self, tmp_path, case):
-        import json
-
-        change, field = MALFORMED_PREDICTIONS[case]
-        pred_file = tmp_path / "pred.json"
-        write_predictions(pred_file, ["a", "b"], np.zeros((2, 2, 3), np.int64), np.ones((2, 2, 3), np.int64),
-                          "f" * 64)
-        payload = json.loads(pred_file.read_text(encoding="utf-8"))
-        change(payload)
-        pred_file.write_text(json.dumps(payload), encoding="utf-8")
+    @pytest.mark.parametrize("kind", LABEL_FILES)
+    @pytest.mark.parametrize("case", MALFORMED_LABEL_FILES)
+    def test_malformed_file_is_validation_error_naming_it(self, tmp_path, kind, case):
+        f = LABEL_FILES[kind]
+        change, *fields = MALFORMED_LABEL_FILES[case]
+        path = tmp_path / "labels.json"
+        f.write(path, ["a", "b"], np.zeros(f.shape, np.int64), np.ones(f.shape, np.int64), "f" * 64)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        change(f, payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError) as info:
-            read_predictions(pred_file)
-        assert str(pred_file) in str(info.value) and field in str(info.value), info.value
+            f.read(path)
+        field = fields[list(LABEL_FILES).index(kind)]
+        assert str(path) in str(info.value) and field in str(info.value), info.value
 
-    def test_writer_rejects_mismatched_shapes(self, tmp_path):
-        with pytest.raises(ValidationError, match="matching"):
-            write_predictions(tmp_path / "p.json", ["a"], np.zeros((1, 2, 3)), np.zeros((1, 2, 2)), "f" * 64)
-        with pytest.raises(ValidationError, match="matching"):
-            write_predictions(tmp_path / "p.json", ["a", "b"], np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), "f" * 64)
+    @pytest.mark.parametrize("kind", LABEL_FILES)
+    def test_writer_rejects_mismatched_shapes(self, tmp_path, kind):
+        f = LABEL_FILES[kind]
+        wider = f.shape[:-1] + (f.shape[-1] + 1,)
+        for ids, verb, noun in ((["a", "b"], np.zeros(f.shape), np.zeros(wider)),
+                                (["a"], np.zeros(f.shape), np.zeros(f.shape)),
+                                (["a", "b"], np.zeros(f.shape[:-1]), np.zeros(f.shape[:-1]))):
+            with pytest.raises(ValidationError, match="matching"):
+                f.write(tmp_path / "labels.json", ids, verb, noun, "f" * 64)
+        assert not (tmp_path / "labels.json").exists()
+
+
+SRC = Path(cliplta.__file__).parent
+
+
+def test_label_files_are_built_only_in_metrics():
+    """metrics does not reach into the model, and no other module builds a label-file payload."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    imports = set()
+    for node in ast.walk(trees["metrics.py"]):
+        if isinstance(node, ast.Import):
+            imports |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):  # "from .model import f" and "from . import model" alike
+            imports |= {node.module or ""} | {f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names}
+    assert not imports & {"model", "cliplta.model"}, imports
+    builders = {name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "taxonomy_sha256"
+                                                      for k in node.keys)}
+    assert builders == {"metrics.py"}

@@ -1,12 +1,16 @@
 """Derandomized property tests of the batched sampler, the ED@(Z,K) scorer,
-the edit distance (a bounded metric, equal to the reference table) and the
-store reader (byte-equal to the reference loader).
+the edit distance (a bounded metric, equal to the reference table), the
+store reader (byte-equal to the reference loader) and the label files
+(a write then a read gives the arrays back, in ``json.dump``'s bytes).
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as reproducible as the seeded ones.
 """
 
+import io
+import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from cliplta import FeatureStore, ed_at_zk, edit_distance, sample_candidates
 from cliplta.harness import load_dataset
+from cliplta.metrics import read_ground_truth, read_predictions, write_ground_truth, write_predictions
 from helpers import reference_edit_distance, reference_load_dataset, reference_sample_candidates
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -145,3 +150,32 @@ def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
         again_frames, again_video = store.read_clip("e0#0")
         assert again_frames.tobytes() == frames[0, 0].tobytes()
         assert again_video.tobytes() == video[0, 0].tobytes()
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@PROPERTY
+@given(example_ids=st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True),
+       inner=st.sampled_from([(), (1,), (3,)]), Z=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       taxonomy_sha256=st.text(max_size=8))
+@example(example_ids=["é", "a", "\u6f22"], inner=(2,), Z=3, seed=0, taxonomy_sha256="f" * 64)
+def test_label_files_round_trip_in_json_dump_bytes(example_ids, inner, Z, seed, taxonomy_sha256):
+    """``inner`` is () for a ground-truth file, (K,) for a prediction file; ids span the int64 range."""
+    write, read = (write_predictions, read_predictions) if inner else (write_ground_truth, read_ground_truth)
+    rng = np.random.default_rng(seed)
+    shape = (len(example_ids), *inner, Z)
+    verb, noun = rng.integers(INT64.min, INT64.max, (2, *shape), dtype=np.int64, endpoint=True)
+    verb.flat[0], noun.flat[-1] = INT64.min, INT64.max
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "labels.json"
+        write(path, example_ids, verb, noun, taxonomy_sha256)
+        written = path.read_text(encoding="utf-8")
+        ids, read_verb, read_noun, read_hash = read(path)
+    order = sorted(range(len(example_ids)), key=example_ids.__getitem__)
+    assert ids == sorted(example_ids) and read_hash == taxonomy_sha256
+    assert read_verb.dtype == read_noun.dtype == np.int64
+    assert read_verb.tobytes() == verb[order].tobytes() and read_noun.tobytes() == noun[order].tobytes()
+    expected = io.StringIO()
+    json.dump(json.loads(written), expected, sort_keys=True, separators=(",", ":"))
+    assert written == expected.getvalue() + "\n"

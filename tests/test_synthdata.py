@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cliplta import FeatureStore, SynthConfig, ValidationError, generate, mean_pool
-from cliplta.model import write_predictions
+from cliplta.metrics import read_ground_truth, write_predictions
 from cliplta.synthdata import frame_prototype, label_sequence, video_prototype
 
 
@@ -18,6 +18,11 @@ def tree_hash(root: Path) -> str:
             h.update(p.relative_to(root).as_posix().encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def train_ids(ds) -> list[str]:
+    """The training examples' ids, in generation order."""
+    return [example_id for example_id in ds.latents if example_id.startswith("train")]
 
 
 def small_cfg(**kw):
@@ -66,19 +71,19 @@ class TestGenerate:
     def test_gt_lengths_and_ranges(self, tmp_path):
         cfg = small_cfg()
         ds = generate(cfg, tmp_path / "d")
-        assert len(ds.gt_train) == cfg.n_train and len(ds.gt_val) == cfg.n_val
-        for gt in ds.gt_train + ds.gt_val:
-            assert len(gt.actions) == cfg.Z
-            assert all(0 <= a.verb_id < cfg.n_verbs for a in gt.actions)
-            assert all(0 <= a.noun_id < cfg.n_nouns for a in gt.actions)
+        for path, split, count in ((ds.gt_train_path, "train", cfg.n_train), (ds.gt_val_path, "val", cfg.n_val)):
+            example_ids, verb, noun, _ = read_ground_truth(path)
+            assert example_ids == [eid for eid in ds.latents if eid.startswith(split)]
+            assert verb.shape == noun.shape == (count, cfg.Z)
+            assert np.all((0 <= verb) & (verb < cfg.n_verbs)) and np.all((0 <= noun) & (noun < cfg.n_nouns))
 
     def test_labels_are_function_of_latent(self, tmp_path):
         cfg = small_cfg()
         ds = generate(cfg, tmp_path / "d")
-        for gt in ds.gt_train:
-            latent = ds.latents[gt.example_id]
-            expected = label_sequence(cfg, gt.example_id, latent["z_verb"], latent["z_noun"])
-            assert gt == expected
+        example_ids, verb, noun, _ = read_ground_truth(ds.gt_train_path)
+        for example_id, verb_ids, noun_ids in zip(example_ids, verb.tolist(), noun.tolist()):
+            latent = ds.latents[example_id]
+            assert (verb_ids, noun_ids) == label_sequence(cfg, latent["z_verb"], latent["z_noun"])
 
     def test_nearest_prototype_recovers_latent(self, tmp_path):
         # direct nearest-neighbor oracle on the generated features
@@ -87,11 +92,11 @@ class TestGenerate:
         store = FeatureStore.open(ds.store_path)
         protos = np.stack([frame_prototype(cfg, z) for z in range(cfg.n_classes)])
         correct = 0
-        for gt in ds.gt_train:
-            frames, _ = store.read_clip(f"{gt.example_id}#0")
+        for example_id in train_ids(ds):
+            frames, _ = store.read_clip(f"{example_id}#0")
             pooled = mean_pool(frames)
             z_hat = int(np.argmax(protos @ (pooled / np.linalg.norm(pooled))))
-            correct += z_hat == ds.latents[gt.example_id]["z_noun"]
+            correct += z_hat == ds.latents[example_id]["z_noun"]
         assert correct / cfg.n_train >= 0.99
 
     def test_invalid_config_rejected(self):
@@ -112,10 +117,10 @@ class TestSignalModes:
             ds = generate(cfg, tmp_path / f"n{N}")
             store = FeatureStore.open(ds.store_path)
             cosines = []
-            for gt in ds.gt_train:
-                frames, _ = store.read_clip(f"{gt.example_id}#0")
+            for example_id in train_ids(ds):
+                frames, _ = store.read_clip(f"{example_id}#0")
                 pooled = mean_pool(frames)
-                proto = frame_prototype(cfg, ds.latents[gt.example_id]["z_noun"])
+                proto = frame_prototype(cfg, ds.latents[example_id]["z_noun"])
                 cosines.append(float(pooled @ proto / np.linalg.norm(pooled)))
             means.append(np.mean(cosines))
         assert means[0] > means[1] > means[2]
@@ -124,7 +129,7 @@ class TestSignalModes:
         cfg = small_cfg(noise_std=0.0, signal_mode="single_frame", N=5)
         ds = generate(cfg, tmp_path / "sf")
         store = FeatureStore.open(ds.store_path)
-        example_id = ds.gt_train[0].example_id
+        example_id = train_ids(ds)[0]
         frames, _ = store.read_clip(f"{example_id}#0")
         norms = np.linalg.norm(frames, axis=1)
         assert np.sum(norms > 0.5) == 1
@@ -140,7 +145,7 @@ class TestSignalModes:
         ds = generate(cfg, tmp_path / "sp")
         store = FeatureStore.open(ds.store_path)
         protos = np.stack([video_prototype(cfg, z) for z in range(cfg.n_classes)])
-        for gt in ds.gt_train[:20]:
-            _, video = store.read_clip(f"{gt.example_id}#0")
+        for example_id in train_ids(ds)[:20]:
+            _, video = store.read_clip(f"{example_id}#0")
             z_hat = int(np.argmax(protos @ video))
-            assert z_hat == ds.latents[gt.example_id]["z_verb"]
+            assert z_hat == ds.latents[example_id]["z_verb"]
