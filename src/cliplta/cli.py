@@ -1,7 +1,10 @@
 """Command-line entry points.
 
-Subcommands: gen-synth, train, eval, probe, report. Config files are JSON;
-any flag given on the command line overrides the matching config key.
+Subcommands: gen-synth, train, eval, probe, report. Config files are JSON
+holding ``SynthConfig`` / ``TrainConfig`` fields; each field is also a flag
+made from the dataclass (its name with ``_`` -> ``-``, parsed to its type)
+that overrides the config key. ``eval`` and ``probe`` flags not given take
+the library's defaults.
 Exit codes: 0 success, 2 validation error or missing file, 3 numeric error
 or operating-system error. Any other exception is a bug and propagates with
 its traceback.
@@ -15,51 +18,55 @@ import sys
 from pathlib import Path
 
 from .aggregate import probe_record, zero_shot_probe
-from .errors import NumericError, ValidationError, build_config, read_json_object, require, write_file
+from .errors import NumericError, ValidationError, build_config, field_types, read_json_object, require, write_file
 from .featurestore import FeatureStore
-from .harness import DEFAULT_PROMPT_TEMPLATE, TrainConfig, build_label_tables, run_eval, train
+from .harness import TrainConfig, build_label_tables, run_eval, train
 from .synthdata import SynthConfig, generate
 from .taxonomy import load_taxonomy
 
 
-def _build_config(cls, path: str | None, overrides: dict):
-    """``cls`` from the JSON config file at ``path`` (if any), each flag given on the command line overriding it."""
+def _build_config(cls, args):
+    """``cls`` from the JSON config file ``args.config`` (if any), each of its flags in ``args`` overriding it."""
     values, what = {}, "command line"
-    if path is not None:
-        p = Path(path)
+    if args.config is not None:
+        p = Path(args.config)
         if not p.is_file():
             raise ValidationError(f"config file not found: {p}")
         values, what = read_json_object(p, "config file"), f"config file {p}"
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return build_config(cls, values, what)
+    return build_config(cls, values, what, _given(**{name: getattr(args, name) for name in field_types(cls)}))
+
+
+def _given(**flags) -> dict:
+    """The ``flags`` given on the command line: argparse leaves each one not given None."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _add_config_flags(parser, cls) -> None:
+    """One flag per field of the config dataclass ``cls``: the field's name with ``_`` -> ``-``, of its type.
+
+    Each flag defaults to None (not given), a bool field takes ``--x`` and
+    ``--no-x``, and a field with capitals also answers to its lower-case
+    spelling (``--K`` and ``--k``).
+    """
+    for name, (kind, *_) in field_types(cls).items():
+        flag = "--" + name.replace("_", "-")
+        spellings = dict.fromkeys((flag, flag.lower()))  # one spelling when the two are the same
+        parse = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        parser.add_argument(*spellings, default=None, dest=name, **parse)
 
 
 def _add_gen_synth(sub):
     p = sub.add_parser("gen-synth", help="generate a synthetic feature store + ground truth")
     p.add_argument("--config", help="JSON file of synth config keys")
     p.add_argument("--out", required=True, help="output directory")
-    for name, typ in (("n-train", int), ("n-val", int), ("n-input-clips", int), ("N", int),
-                      ("c", int), ("d-video", int), ("Z", int), ("n-verbs", int), ("n-nouns", int),
-                      ("noise-std", float), ("seed", int)):
-        p.add_argument(f"--{name}", type=typ, default=None, dest=name.replace("-", "_"))
-    p.add_argument("--signal-mode", choices=("dense", "single_frame", "split"), default=None)
+    _add_config_flags(p, SynthConfig)
     return p
 
 
 def _add_train(sub):
     p = sub.add_parser("train", help="train a model per config")
     p.add_argument("--config", help="JSON file of train config keys")
-    p.add_argument("--variant", default=None)
-    p.add_argument("--store", default=None)
-    p.add_argument("--gt", default=None)
-    p.add_argument("--val-gt", default=None, dest="val_gt")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--out-dir", default=None, dest="out_dir")
-    for name, typ in (("epochs", int), ("batch-size", int), ("base-lr", float), ("momentum", float),
-                      ("seed", int), ("eval-every", int), ("k", int), ("temperature", float),
-                      ("n-layers", int), ("n-heads-agg", int), ("d-ff", int), ("d-attn", int),
-                      ("n-heads-ca", int), ("text-seed", int)):
-        p.add_argument(f"--{name}", type=typ, default=None, dest=name.replace("-", "_"))
+    _add_config_flags(p, TrainConfig)
     return p
 
 
@@ -69,10 +76,10 @@ def _add_eval(sub):
     p.add_argument("--store", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--taxonomy", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=None, dest="out_dir")
+    p.add_argument("--k", type=int)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out-dir")
     return p
 
 
@@ -81,8 +88,8 @@ def _add_probe(sub):
     p.add_argument("--store", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--clip", required=True)
-    p.add_argument("--text-seed", type=int, default=100, dest="text_seed")
-    p.add_argument("--template", default=DEFAULT_PROMPT_TEMPLATE)
+    p.add_argument("--text-seed", type=int)
+    p.add_argument("--template")
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     return p
 
@@ -95,10 +102,7 @@ def _add_report(sub):
 
 
 def _cmd_gen_synth(args) -> int:
-    overrides = {k: getattr(args, k) for k in
-                 ("n_train", "n_val", "n_input_clips", "N", "c", "d_video", "Z",
-                  "n_verbs", "n_nouns", "signal_mode", "noise_std", "seed")}
-    cfg = _build_config(SynthConfig, args.config, overrides)
+    cfg = _build_config(SynthConfig, args)
     dataset = generate(cfg, args.out)
     print(f"wrote synthetic dataset under {dataset.root} "
           f"({cfg.n_train} train / {cfg.n_val} val examples, mode={cfg.signal_mode})")
@@ -106,12 +110,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides = {k: getattr(args, k, None) for k in
-                 ("variant", "store", "gt", "val_gt", "taxonomy", "out_dir", "epochs",
-                  "batch_size", "base_lr", "momentum", "seed", "eval_every", "temperature",
-                  "n_layers", "n_heads_agg", "d_ff", "d_attn", "n_heads_ca", "text_seed")}
-    overrides["K"] = args.k
-    cfg = _build_config(TrainConfig, args.config, overrides)
+    cfg = _build_config(TrainConfig, args)
     ckpt_dir, log = train(cfg)
     last = log.records[-1]
     print(f"trained {cfg.variant} for {cfg.epochs} epochs; final train_loss={last['train_loss']:.4f}")
@@ -124,7 +123,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     pred_file, report = run_eval(
         args.checkpoint, args.store, args.gt, args.taxonomy,
-        K=args.k, temperature=args.temperature, seed=args.seed, out_dir=args.out_dir,
+        **_given(K=args.k, temperature=args.temperature, seed=args.seed, out_dir=args.out_dir),
     )
     print(f"predictions: {pred_file}")
     print(f"ED@(Z={report.Z},K={report.K}) over {report.n_examples} examples: "
@@ -136,7 +135,8 @@ def _cmd_probe(args) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     store = FeatureStore.open(args.store)
     frames, _ = store.read_clip(args.clip)
-    tables = build_label_tables(taxonomy, store.c, args.text_seed, args.template)
+    tables = build_label_tables(taxonomy, store.c,
+                                **_given(text_seed=args.text_seed, prompt_template=args.template))
     lines = []
     for i, frame in enumerate(frames):
         record = probe_record(zero_shot_probe(frame, tables), i, taxonomy)

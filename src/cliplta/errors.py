@@ -3,10 +3,11 @@
 Two categories, mirroring the CLI exit codes: bad inputs (schemas,
 preconditions, lookups) and numeric/runtime failures. ``read_json_object``
 is the one JSON reader, so a malformed file is always a bad input,
-``require`` checks the type of one field read from it, ``build_config``
-checks every field of a config dataclass read from it,
-``require_file_name`` checks a field that names a blob beside the manifest,
-and ``read_blob`` is the one reader of such a blob.
+``require`` checks the type of one field read from it (a number must also be
+finite), ``build_config`` checks every field of a config dataclass read from
+it or given as a command-line flag, ``check_minimums`` is the one lower-bound
+check of a config's fields, ``require_file_name`` checks a field that names a
+blob beside the manifest, and ``read_blob`` is the one reader of such a blob.
 
 ``write_file`` writes every other file atomically (a temporary file, then
 ``os.replace``; no fsync), and ``write_blob``, the inverse of ``read_blob``,
@@ -17,6 +18,7 @@ publishes it.
 import dataclasses
 import json
 import os
+import sys
 import typing
 from pathlib import Path
 
@@ -36,7 +38,7 @@ def read_json_object(path: Path, what: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
             raise ValidationError(f"{what} {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
@@ -50,37 +52,58 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a b
 def require(value, kind: type, what: str):
     """``value`` if JSON gave it as a ``kind``; raises ValidationError naming ``what`` otherwise.
 
-    A bool is never an integer or a number; a number may be an integer.
+    A bool is never an integer or a number; a number may be an integer, and
+    must be finite as a float: JSON's ``NaN`` and ``Infinity`` are not
+    numbers here, nor is an integer beyond the float range.
     """
     kinds = (int, float) if kind is float else kind
     if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kinds):
         raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # False for NaN too
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return value
 
 
-def build_config(cls, values: dict, what: str):
-    """``cls(**values)`` for a config dataclass; a failed check raises ValidationError naming ``what``.
+def field_types(cls) -> dict[str, tuple]:
+    """Each field name of the dataclass ``cls`` -> its annotated type's arguments (``X | None`` -> X, NoneType)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: typing.get_args(hints[f.name]) or (hints[f.name],) for f in dataclasses.fields(cls)}
+
+
+def build_config(cls, values: dict, what: str, flags: dict | None = None):
+    """``cls`` from ``values``, read from ``what``, each of the command line's ``flags`` overriding them.
 
     Each key must name a field, each field without a default must be given,
     and each value must pass ``require`` for its field's annotated type
-    (``X | None`` also takes None). ``cls``'s own checks are prefixed too.
+    (``X | None`` also takes None); a failed check raises ValidationError
+    naming ``what`` (``command line`` for a flag) and the key. ``cls``'s own
+    checks are prefixed with ``what``.
     """
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(values) - {f.name for f in fields})
+    flags = flags or {}
+    values = {**values, **flags}
+    types = field_types(cls)
+    unknown = sorted(set(values) - set(types))
     if unknown:
         raise ValidationError(f"{what}: unknown keys {unknown}")
-    hints = typing.get_type_hints(cls)
-    for f in fields:
+    for f in dataclasses.fields(cls):
         if f.name in values:
-            kind, *rest = typing.get_args(hints[f.name]) or (hints[f.name],)
+            kind, *rest = types[f.name]
             if not (values[f.name] is None and type(None) in rest):
-                require(values[f.name], kind, f"{what}: '{f.name}'")
+                require(values[f.name], kind, f"{'command line' if f.name in flags else what}: '{f.name}'")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValidationError(f"{what}: missing key '{f.name}'")
     try:
         return cls(**values)
     except ValidationError as e:
         raise ValidationError(f"{what}: {e}") from e
+
+
+def check_minimums(config, minimums: dict) -> None:
+    """Raise ValidationError naming the first field of ``minimums`` below its least value (or NaN) in ``config``."""
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if not value >= least:
+            raise ValidationError(f"config field {name} must be >= {least}, got {value}")
 
 
 def require_file_name(value, what: str) -> str:

@@ -8,7 +8,10 @@ file byte for byte.
 Optimizer: SGD with momentum and a cosine learning-rate decay from base_lr
 over the configured epochs. The default hyperparameters (epochs 30, batch
 64, base_lr 1e-4) are the documented full-scale profile; desk-scale runs
-shrink batch size and model dims through the config.
+shrink batch size and model dims through the config. ``TrainConfig``'s model
+hyperparameters are ``LtaModelConfig`` fields of the same name, with the
+model's defaults (only ``prompt_template`` is the model's ``label_template``),
+and ``train`` copies them across by name.
 
 Dataset convention: the feature store holds the clips of example ``eid`` as
 clip ids ``eid#0 .. eid#{T-1}``, where T (clips per example) is inferred
@@ -22,32 +25,29 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import img_text_concat, mean_pool
-from .errors import NumericError, ValidationError, write_file
+from .errors import NumericError, ValidationError, check_minimums, write_file
 from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
 from .metrics import EvalReport, check_labels, ed_at_zk, read_ground_truth, score, write_predictions
 # run_eval scores from memory and does not call evaluate; the name is bound here because the
 # benchmark's tracer (perfbench/spans.py) wraps harness.evaluate, and fails without it
 from .metrics import evaluate  # noqa: F401
 from .model import (
-    DEFAULT_ATTENTION_PROMPT,
+    CONFIG_MINIMUM,
     LtaModel,
     LtaModelConfig,
     batch_loss_and_grads,
-    check_minimums,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
     variant_spec,
 )
 from .taxonomy import CATEGORIES, Taxonomy, load_taxonomy
-
-DEFAULT_PROMPT_TEMPLATE = "a photo of {}"
 
 
 @dataclass
@@ -66,37 +66,32 @@ class TrainConfig:
     eval_every: int = 0          # 0 -> evaluate only after the last epoch
     K: int = 5
     temperature: float = 1.0
-    # model hyperparameters
-    n_layers: int = 6
-    n_heads_agg: int = 8
-    d_ff: int = 0
-    d_attn: int = 0
-    n_heads_ca: int = 8
-    learned_query: bool = False
-    attention_prompt: str = DEFAULT_ATTENTION_PROMPT
-    text_seed: int = 100
-    prompt_template: str = DEFAULT_PROMPT_TEMPLATE
+    # model hyperparameters, with the model's defaults
+    n_layers: int = LtaModelConfig.n_layers
+    n_heads_agg: int = LtaModelConfig.n_heads_agg
+    d_ff: int = LtaModelConfig.d_ff
+    d_attn: int = LtaModelConfig.d_attn
+    n_heads_ca: int = LtaModelConfig.n_heads_ca
+    learned_query: bool = LtaModelConfig.learned_query
+    attention_prompt: str = LtaModelConfig.attention_prompt
+    text_seed: int = LtaModelConfig.text_seed
+    prompt_template: str = LtaModelConfig.label_template   # the model's label_template
 
     def __post_init__(self):
         variant_spec(self.variant)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        # the model's sizes are checked here too, so a bad one fails before any data is read
+        check_minimums(self, {"seed": 0, "epochs": 1, "batch_size": 1, "K": 1, "eval_every": 0,
+                              **{name: CONFIG_MINIMUM[name] for name in _MODEL_FIELDS if name in CONFIG_MINIMUM}})
         if not self.base_lr > 0:
             raise ValidationError(f"base_lr must be > 0, got {self.base_lr}")
         if not self.temperature > 0:
             raise ValidationError(f"temperature must be > 0, got {self.temperature}")
-        if self.K < 1:
-            raise ValidationError(f"K must be >= 1, got {self.K}")
-        if self.eval_every < 0:
-            raise ValidationError(f"eval_every must be >= 0, got {self.eval_every}")
         if not 0 <= self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        # the model's sizes, checked here so a bad one fails before any data is read
-        check_minimums(self, ("n_layers", "n_heads_agg", "d_ff", "d_attn", "n_heads_ca"))
+
+
+# the TrainConfig fields that LtaModelConfig also has, in field order, so a failed check always names the same one
+_MODEL_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name in {g.name for g in fields(LtaModelConfig)})
 
 
 @dataclass
@@ -115,8 +110,8 @@ class RunLog:
         write_file(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in self.records))
 
 
-def build_label_tables(taxonomy: Taxonomy, c: int, text_seed: int,
-                       prompt_template: str = DEFAULT_PROMPT_TEMPLATE) -> dict[str, TextEmbeddingTable]:
+def build_label_tables(taxonomy: Taxonomy, c: int, text_seed: int = LtaModelConfig.text_seed,
+                       prompt_template: str = LtaModelConfig.label_template) -> dict[str, TextEmbeddingTable]:
     """Stub text-encoder tables for all four categories."""
     encoder = lambda prompt: stub_embed(text_seed, prompt, c)
     return {cat: build_text_table(taxonomy, cat, prompt_template, encoder) for cat in CATEGORIES}
@@ -285,23 +280,9 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     Z, n_input_clips = dataset.shape
 
     model_cfg = LtaModelConfig(
-        variant=cfg.variant,
-        n_verbs=len(taxonomy.verbs),
-        n_nouns=len(taxonomy.nouns),
-        c=store.c,
-        d_video=store.d_video,
-        n_input_clips=n_input_clips,
-        Z=Z,
-        n_layers=cfg.n_layers,
-        n_heads_agg=cfg.n_heads_agg,
-        d_ff=cfg.d_ff,
-        d_attn=cfg.d_attn,
-        n_heads_ca=cfg.n_heads_ca,
-        learned_query=cfg.learned_query,
-        attention_prompt=cfg.attention_prompt,
-        label_template=cfg.prompt_template,
-        text_seed=cfg.text_seed,
-        seed=cfg.seed,
+        **{name: getattr(cfg, name) for name in _MODEL_FIELDS}, label_template=cfg.prompt_template,
+        n_verbs=len(taxonomy.verbs), n_nouns=len(taxonomy.nouns), c=store.c, d_video=store.d_video,
+        n_input_clips=n_input_clips, Z=Z,
     )
     model = LtaModel(model_cfg)
 

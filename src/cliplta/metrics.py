@@ -27,6 +27,7 @@ and writers share one private reader and one writer over id arrays, and
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -187,7 +188,10 @@ def read_predictions(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarra
 
 def _write_label_file(path: str | Path, what: str, key: str, dims: tuple[str, ...], example_ids: list[str],
                       verb: np.ndarray, noun: np.ndarray, taxonomy_sha256: str) -> None:
-    """Write one label file: its dimensions from the arrays' shape, entries keyed and sorted by example id."""
+    """Write one label file: its dimensions from the arrays' shape, entries keyed and sorted by example id.
+
+    Each example id must appear once; a repeated one raises ValidationError and writes nothing.
+    """
     verb = np.asarray(verb, dtype=np.int64)
     noun = np.asarray(noun, dtype=np.int64)
     if verb.ndim != 1 + len(dims) or verb.shape != noun.shape or len(verb) != len(example_ids):
@@ -195,14 +199,13 @@ def _write_label_file(path: str | Path, what: str, key: str, dims: tuple[str, ..
             f"cannot write {what} {path}: verb and noun must be matching (N, {', '.join(dims)}) id arrays "
             f"for N={len(example_ids)} examples; got {verb.shape} and {noun.shape}"
         )
-    payload = {
-        "version": 1,
-        **dict(zip(dims, verb.shape[1:])),
-        "taxonomy_sha256": taxonomy_sha256,
-        # sort_keys orders the entries by example id
-        key: {example_id: {"verb": v, "noun": n}
-              for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())},
-    }
+    entries = {example_id: {"verb": v, "noun": n}
+               for example_id, v, n in zip(example_ids, verb.tolist(), noun.tolist())}
+    if len(entries) != len(example_ids):
+        repeated = next(example_id for example_id, n in Counter(example_ids).items() if n > 1)
+        raise ValidationError(f"cannot write {what} {path}: example id {repeated!r} is repeated")
+    # sort_keys orders the entries by example id
+    payload = {"version": 1, **dict(zip(dims, verb.shape[1:])), "taxonomy_sha256": taxonomy_sha256, key: entries}
     write_file(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -310,12 +313,12 @@ def evaluate(pred_file: str | Path, gt_file: str | Path, taxonomy: Taxonomy) -> 
     n_examples, Z = gt_verb.shape
     pred_z = pred_verb.shape[2]
     if pred_z != Z:
-        raise ValidationError(f"prediction horizon Z={pred_z} does not match ground truth Z={Z}")
+        raise ValidationError(f"prediction file {pred_file}: horizon Z={pred_z} does not match ground truth Z={Z}")
 
     row_of = dict(zip(pred_ids, range(len(pred_ids))))
     missing = set(gt_ids).difference(row_of)
     if missing:
-        raise ValidationError(f"prediction file is missing example {min(missing)!r}")
+        raise ValidationError(f"prediction file {pred_file} is missing example {min(missing)!r}")
     rows = np.fromiter(map(row_of.get, gt_ids), dtype=np.int64, count=n_examples)
     pred_verb, pred_noun = pred_verb[rows], pred_noun[rows]
     check_labels(pred_file, gt_ids, pred_verb, pred_noun, pred_hash, taxonomy)

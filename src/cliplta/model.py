@@ -35,8 +35,8 @@ import numpy as np
 
 from . import nn
 from .aggregate import CrossAttention, cross_attention_backward, cross_attention_forward
-from .errors import (NumericError, ValidationError, build_config, read_blob, read_json_object, require_file_name,
-                     write_blob, write_file)
+from .errors import (NumericError, ValidationError, build_config, check_minimums, read_blob, read_json_object,
+                     require_file_name, write_blob, write_file)
 from .featurestore import stub_embed
 
 
@@ -66,18 +66,11 @@ def variant_spec(name: str) -> Variant:
 
 
 DEFAULT_ATTENTION_PROMPT = "a video of a person performing an action"
+DEFAULT_PROMPT_TEMPLATE = "a photo of {}"
 
 # the least value of each integer size of LtaModelConfig; d_ff = 0 and d_attn = 0 mean the default width
 CONFIG_MINIMUM = {**dict.fromkeys(("n_verbs", "n_nouns", "c", "d_video", "n_input_clips", "Z", "n_layers",
                                    "n_heads_agg", "n_heads_ca"), 1), "d_ff": 0, "d_attn": 0}
-
-
-def check_minimums(config, names) -> None:
-    """Raise ValidationError naming the first field of ``names`` below its ``CONFIG_MINIMUM`` in ``config``."""
-    for name in names:
-        value = getattr(config, name)
-        if value < CONFIG_MINIMUM[name]:
-            raise ValidationError(f"config field {name} must be >= {CONFIG_MINIMUM[name]}, got {value}")
 
 
 @dataclass
@@ -96,7 +89,7 @@ class LtaModelConfig:
     n_heads_ca: int = 8
     learned_query: bool = False
     attention_prompt: str = DEFAULT_ATTENTION_PROMPT
-    label_template: str = "a photo of {}"
+    label_template: str = DEFAULT_PROMPT_TEMPLATE
     text_seed: int = 100
     seed: int = 0
 

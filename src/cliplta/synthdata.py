@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, write_file
+from .errors import ValidationError, check_minimums, write_file
 from .featurestore import FeatureStore, stub_embed
 from .metrics import write_ground_truth
 from .taxonomy import Taxonomy, save_taxonomy
@@ -64,15 +64,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_train", "n_val", "n_input_clips", "N", "c", "d_video", "Z", "n_verbs", "n_nouns"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"synth config field {name} must be >= 1")
+        check_minimums(self, {**dict.fromkeys(("n_train", "n_val", "n_input_clips", "N", "c", "d_video", "Z",
+                                               "n_verbs", "n_nouns"), 1), "noise_std": 0, "seed": 0})
         if self.signal_mode not in SIGNAL_MODES:
             raise ValidationError(f"unknown signal_mode {self.signal_mode!r}; expected one of {SIGNAL_MODES}")
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_classes(self) -> int:

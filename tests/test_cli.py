@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cliplta import cli
+from cliplta import SynthConfig, TrainConfig, cli
 from cliplta.cli import main
 
 
@@ -148,6 +151,14 @@ class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen-synth", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_integer_past_the_digit_limit_is_2_and_named(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text('{"n_train": 1' + "0" * 5000 + "}", encoding="utf-8")
+        assert main(["gen-synth", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_clip_is_2(self, workspace):
         assert main([
@@ -422,6 +433,15 @@ MALFORMED_CONFIGS = {
     "synth_signal_mode_number": ("gen-synth", lambda p: p.update(signal_mode=3), "'signal_mode' must be a string"),
     "synth_seed_negative": ("gen-synth", lambda p: p.update(seed=-1), "seed must be >= 0, got -1"),
     "synth_unknown_key": ("gen-synth", lambda p: p.update(extra=1), "unknown keys ['extra']"),
+    # json.dumps writes NaN and Infinity; a config number must be finite
+    "synth_noise_std_nan": ("gen-synth", lambda p: p.update(noise_std=float("nan")),
+                            "'noise_std' must be a finite number, got nan"),
+    "synth_noise_std_infinity": ("gen-synth", lambda p: p.update(noise_std=float("inf")),
+                                 "'noise_std' must be a finite number, got inf"),
+    "train_base_lr_infinity": ("train", lambda p: p.update(base_lr=float("inf")),
+                               "'base_lr' must be a finite number, got inf"),
+    "train_base_lr_beyond_float": ("train", lambda p: p.update(base_lr=10**400),
+                                   "'base_lr' must be a finite number, got 1000"),
 }
 
 
@@ -450,3 +470,112 @@ def test_negative_seed_flag_is_2(tmp_path, capsys):
     assert main(["gen-synth", "--out", str(tmp_path / "out"), "--n-train", "2", "--seed", "-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--noise-std", "inf"], ["--noise-std", "nan"], ["--noise-std=-inf"]])
+def test_non_finite_flag_is_2_and_named(tmp_path, capsys, flags):
+    assert main(["gen-synth", "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: command line: 'noise_std' must be a finite number, got "), err
+    assert not (tmp_path / "out").exists()
+
+
+def _train_config_file(workspace, tmp_path, **values):
+    """A train config file of the shared workspace's data, the smallest model, and ``values``."""
+    data = workspace / "data"
+    payload = {"variant": "baseline", "store": str(data / "store"), "gt": str(data / "gt_train.json"),
+               "taxonomy": str(data / "taxonomy.json"), "out_dir": str(tmp_path / "out"),
+               "epochs": 1, "batch_size": 4, "n_layers": 1, "n_heads_agg": 2, **values}
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    return config, payload
+
+
+def test_non_finite_flag_over_a_config_file_names_the_command_line(workspace, tmp_path, capsys):
+    config, _ = _train_config_file(workspace, tmp_path)
+    assert main(["train", "--config", str(config), "--base-lr", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "command line: 'base_lr' must be a finite number, got inf" in err and "runtime error" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# a value other than the default for each config field, set by its flag
+TRAIN_FLAG_VALUES = {
+    "variant": "clip_attention", "store": "data/store", "gt": "data/gt_train.json", "taxonomy": "data/taxonomy.json",
+    "out_dir": "out", "val_gt": "data/gt_val.json", "epochs": 2, "batch_size": 3, "base_lr": 0.002,
+    "momentum": 0.5, "seed": 3, "eval_every": 1, "K": 3, "temperature": 0.5, "n_layers": 2, "n_heads_agg": 4,
+    "d_ff": 6, "d_attn": 4, "n_heads_ca": 2, "learned_query": True, "attention_prompt": "hands at work",
+    "text_seed": 7, "prompt_template": "an image of {}",
+}
+REQUIRED_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig) if f.default is dataclasses.MISSING}
+SYNTH_FLAG_VALUES = {
+    "n_train": 5, "n_val": 3, "n_input_clips": 3, "N": 3, "c": 6, "d_video": 5, "Z": 3, "n_verbs": 5,
+    "n_nouns": 6, "signal_mode": "split", "noise_std": 0.25, "seed": 4,
+}
+
+
+def _flag(name: str, value) -> list[str]:
+    flag = "--" + name.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_every_train_config_field_is_a_flag(workspace, tmp_path, name):
+    config, payload = _train_config_file(workspace, tmp_path)
+    value = TRAIN_FLAG_VALUES[name]
+    if name in ("store", "gt", "taxonomy", "val_gt"):
+        value = str(workspace / value)
+    elif name == "out_dir":
+        value = str(tmp_path / value)
+    if name in REQUIRED_TRAIN_KEYS:  # left out of the file, so only the flag can give it
+        config.write_text(json.dumps({k: v for k, v in payload.items() if k != name}), encoding="utf-8")
+    else:  # the flag changes the config
+        assert value != payload.get(name, getattr(TrainConfig, name))
+    assert main(["train", "--config", str(config), *_flag(name, value)]) == 0
+    written = json.loads((tmp_path / "out" / "train_config.json").read_text(encoding="utf-8"))
+    assert written == asdict(TrainConfig(**{**payload, name: value})), written
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SynthConfig)])
+def test_every_synth_config_field_is_a_flag(tmp_path, name):
+    value = SYNTH_FLAG_VALUES[name]
+    payload = {"n_train": 4, "n_val": 2, "N": 2, "c": 4, "d_video": 4, "Z": 2, "n_verbs": 3, "n_nouns": 3}
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["gen-synth", "--config", str(config), "--out", str(tmp_path / "out"), *_flag(name, value)]) == 0
+    written = json.loads((tmp_path / "out" / "synth_config.json").read_text(encoding="utf-8"))
+    assert written == asdict(SynthConfig(**{**payload, name: value})), written
+
+
+def test_todays_spellings_parse_to_the_same_configs(workspace, tmp_path):
+    data = workspace / "data"
+    assert main(["gen-synth", "--out", str(tmp_path / "synth"), "--N", "3", "--Z", "3", "--c", "6",
+                 "--n-train", "5", "--signal-mode", "split"]) == 0
+    written = json.loads((tmp_path / "synth" / "synth_config.json").read_text(encoding="utf-8"))
+    assert written == asdict(SynthConfig(N=3, Z=3, c=6, n_train=5, signal_mode="split"))
+    assert main(["train", "--variant", "baseline", "--store", str(data / "store"), "--gt", str(data / "gt_train.json"),
+                 "--taxonomy", str(data / "taxonomy.json"), "--val-gt", str(data / "gt_val.json"),
+                 "--out-dir", str(tmp_path / "run"), "--k", "3", "--batch-size", "4", "--epochs", "1",
+                 "--n-layers", "1", "--n-heads-agg", "2"]) == 0
+    written = json.loads((tmp_path / "run" / "train_config.json").read_text(encoding="utf-8"))
+    assert written == asdict(TrainConfig(variant="baseline", store=str(data / "store"), gt=str(data / "gt_train.json"),
+                                         taxonomy=str(data / "taxonomy.json"), val_gt=str(data / "gt_val.json"),
+                                         out_dir=str(tmp_path / "run"), K=3, batch_size=4, epochs=1, n_layers=1,
+                                         n_heads_agg=2))
+
+
+def test_learned_query_flag_trains_as_the_config_key_does(workspace, tmp_path):
+    """``--learned-query`` and ``--no-learned-query`` give the checkpoint bytes of the config key."""
+    def checkpoint_bytes(run: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted((run / "checkpoint").iterdir())}
+
+    runs = {}
+    for tag, in_file, flags in (("key", True, []), ("flag", False, ["--learned-query"]),
+                                ("no_key", False, []), ("no_flag", True, ["--no-learned-query"])):
+        (tmp_path / tag).mkdir()
+        config, _ = _train_config_file(workspace, tmp_path / tag, variant="clip_attention",
+                                       **({"learned_query": True} if in_file else {}))
+        assert main(["train", "--config", str(config), *flags]) == 0
+        runs[tag] = checkpoint_bytes(tmp_path / tag / "out")
+    assert json.loads(runs["flag"]["config.json"])["learned_query"] is True
+    assert runs["flag"] == runs["key"] and runs["no_flag"] == runs["no_key"] and runs["flag"] != runs["no_flag"]

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -152,7 +153,7 @@ class TestEvaluate:
         gt_rows = [("a", [0, 1], [0, 1]), ("b", [2, 3], [2, 3])]
         pred_rows = [("a", [[0, 1], [0, 0]], [[0, 1], [0, 0]])]
         pred_file, gt_file = eval_setup(pred_rows, gt_rows)
-        with pytest.raises(ValidationError, match="missing example 'b'"):
+        with pytest.raises(ValidationError, match=re.escape(f"prediction file {pred_file} is missing example 'b'")):
             evaluate(pred_file, gt_file, small_taxonomy)
 
     def test_hash_mismatch_rejected(self, eval_setup, small_taxonomy):
@@ -175,7 +176,8 @@ class TestEvaluate:
         write_ground_truth(gt_file, ["a"], np.array([[0, 1, 2]]), np.array([[0, 1, 2]]), tax_hash)
         pred_file = tmp_path / "pred2.json"
         write_predictions(pred_file, ["a"], np.array([[[0, 1]]]), np.array([[[0, 1]]]), tax_hash)
-        with pytest.raises(ValidationError, match="Z"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"prediction file {pred_file}: horizon Z=2 does not match ground truth Z=3")):
             evaluate(pred_file, gt_file, small_taxonomy)
 
     def test_k_mismatch_rejected(self, tmp_path, small_taxonomy, eval_setup):
@@ -266,6 +268,15 @@ class TestLabelFiles:
             with pytest.raises(ValidationError, match="matching"):
                 f.write(tmp_path / "labels.json", ids, verb, noun, "f" * 64)
         assert not (tmp_path / "labels.json").exists()
+
+    @pytest.mark.parametrize("kind", LABEL_FILES)
+    def test_writer_rejects_repeated_example_id(self, tmp_path, kind):
+        f = LABEL_FILES[kind]
+        path = tmp_path / "labels.json"
+        with pytest.raises(ValidationError) as info:
+            f.write(path, ["b", "a", "b"], np.zeros((3, *f.shape[1:])), np.zeros((3, *f.shape[1:])), "f" * 64)
+        assert str(path) in str(info.value) and "'b' is repeated" in str(info.value), info.value
+        assert not path.exists()
 
 
 SRC = Path(cliplta.__file__).parent

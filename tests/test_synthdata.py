@@ -104,6 +104,8 @@ class TestGenerate:
             small_cfg(n_train=0)
         with pytest.raises(ValidationError):
             small_cfg(noise_std=-0.5)
+        with pytest.raises(ValidationError, match="config field noise_std must be >= 0, got nan"):
+            small_cfg(noise_std=float("nan"))
         with pytest.raises(ValidationError):
             small_cfg(signal_mode="sparse")
 
