@@ -42,6 +42,7 @@ from .model import (
     LtaModel,
     LtaModelConfig,
     batch_loss_and_grads,
+    check_temperature,
     load_checkpoint,
     sample_candidates,
     save_checkpoint,
@@ -84,8 +85,7 @@ class TrainConfig:
                               **{name: CONFIG_MINIMUM[name] for name in _MODEL_FIELDS if name in CONFIG_MINIMUM}})
         if not self.base_lr > 0:
             raise ValidationError(f"base_lr must be > 0, got {self.base_lr}")
-        if not self.temperature > 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
+        check_temperature(self.temperature)
         if not 0 <= self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -351,8 +351,7 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     """
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     in_memory = isinstance(checkpoint, LtaModel)
     if out_dir is None:
         if in_memory:

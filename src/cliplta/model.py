@@ -26,6 +26,7 @@ seed per example; ``cliplta.metrics`` reads and writes the prediction file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -276,6 +277,12 @@ def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,
     return loss, d_v * scale, d_n * scale
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ValidationError unless ``temperature`` is a finite number > 0."""
+    if not (temperature > 0 and math.isfinite(temperature)):
+        raise ValidationError(f"temperature must be a finite number > 0, got {temperature}")
+
+
 def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, temperature: float,
                       seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Candidates verb, noun (B, K, Z) int64 from (B, Z, classes) logits: argmax, then samples.
@@ -283,12 +290,13 @@ def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, 
     Example b draws ``default_rng(seeds[b]).random((K-1, 2, Z))``: per
     candidate, Z verb then Z noun uniforms. A step's id is the number of
     entries of its normalized float64 CDF of softmax(logits / temperature)
-    that are <= its uniform, the id ``Generator.choice(p=...)`` gives.
+    that are <= its uniform, the id ``Generator.choice(p=...)`` gives. A
+    temperature so small that the scaled logits, or the softmax's
+    differences of them, would leave the float64 range is a validation error.
     """
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
+    check_temperature(temperature)
     verb = np.asarray(verb_logits, dtype=np.float64)
     noun = np.asarray(noun_logits, dtype=np.float64)
     if verb.ndim != 3 or noun.ndim != 3 or verb.shape[:2] != noun.shape[:2] or len(seeds) != len(verb):
@@ -296,8 +304,15 @@ def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, 
             f"step logits must be (B, Z, n_verbs) and (B, Z, n_nouns) with B seeds; "
             f"got {verb.shape}, {noun.shape} and {len(seeds)} seeds"
         )
-    if not (np.isfinite(verb).all() and np.isfinite(noun).all()):
+    # the largest logit and the negated smallest of each array, at least 0; NaN propagates
+    bounds = [float(x) for a in (verb, noun) for x in (a.max(initial=0.0), -a.min(initial=0.0))]
+    if not all(map(math.isfinite, bounds)):
         raise NumericError("step logits contain non-finite values")
+    # |x / T| <= largest / T, and the softmax subtracts two such values
+    largest = max(bounds)
+    if not math.isfinite(2 * largest / temperature):
+        raise ValidationError(f"temperature {temperature} scales step logits of magnitude up to {largest} "
+                              f"beyond the float64 range")
     B, Z, _ = verb.shape
     if K > 1:
         uniforms = np.stack([np.random.default_rng(seed).random((K - 1, 2, Z)) for seed in seeds])

@@ -68,10 +68,11 @@ class Module:
     def param(self, name: str, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Register ``value`` as parameter ``name``; returns it and its zeroed gradient.
 
-        The gradient comes from ``np.zeros``, whose calloc'd memory a large
-        array does not touch until the first backward pass writes it, so a
-        model that is only evaluated never touches most of its gradient
-        memory; ``np.zeros_like`` writes every byte up front.
+        The gradient comes from ``np.zeros`` (calloc). Importing ``cliplta``
+        keeps freed arrays in the heap, so calloc usually reuses freed
+        memory and zeroes it with a write, even for a model that is only
+        evaluated; only memory fresh from the kernel stays untouched until
+        the first backward pass writes it.
         """
         self.params[name] = value
         self.grads[name] = grad = np.zeros(value.shape, value.dtype)

@@ -20,12 +20,14 @@ Three signal layouts:
 Generation is a pure function of the config: per-example generators are
 derived from (seed, split, example_index), so output bytes are reproducible
 and per-example generation could be parallelized without changing them.
-The labels of each split go from ``label_sequence`` id lists straight to
-``metrics.write_ground_truth``; read them back with ``read_ground_truth``.
+The labels of each split go from ``label_sequence`` id lists, computed once
+per class, to ``metrics.write_ground_truth``; read them back with
+``read_ground_truth``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -129,9 +131,8 @@ def _example_rng(cfg: SynthConfig, split_index: int, example_index: int) -> np.r
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, split_index, example_index])))
 
 
-def _generate_example(cfg: SynthConfig, rng: np.random.Generator,
-                      protos_frame: np.ndarray, protos_video: np.ndarray):
-    """Returns (z_verb, z_noun, frames (T, N, c), video (T, d_video))."""
+def _generate_example(cfg: SynthConfig, rng: np.random.Generator, frame_proto, video_proto):
+    """Returns (z_verb, z_noun, frames (T, N, c), video (T, d_video)); ``*_proto(z)`` give the prototypes."""
     if cfg.signal_mode == "split":
         z_verb = int(rng.integers(cfg.n_classes))
         z_noun = int(rng.integers(cfg.n_classes))
@@ -142,13 +143,13 @@ def _generate_example(cfg: SynthConfig, rng: np.random.Generator,
     frames = rng.standard_normal((T, N, c)) * cfg.noise_std
     if cfg.signal_mode == "single_frame":
         for t in range(T):
-            frames[t, int(rng.integers(N))] += protos_frame[z_noun]
+            frames[t, int(rng.integers(N))] += frame_proto(z_noun)
     else:
-        frames += protos_frame[z_noun]
+        frames += frame_proto(z_noun)
 
     video = rng.standard_normal((T, cfg.d_video)) * cfg.noise_std
     video_scale = 1.0 if cfg.signal_mode == "split" else VIDEO_SIGNAL_SCALE
-    video += video_scale * protos_video[z_verb]
+    video += video_scale * video_proto(z_verb)
     return z_verb, z_noun, frames, video
 
 
@@ -161,8 +162,12 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
     """
     out_dir = Path(out_dir)
     taxonomy = make_taxonomy(cfg)
-    protos_frame = np.stack([frame_prototype(cfg, z) for z in range(cfg.n_classes)])
-    protos_video = np.stack([video_prototype(cfg, z) for z in range(cfg.n_classes)])
+    # the prototypes and label ids of each class drawn (each class pair, in
+    # split mode), computed once: a split draws only some of the classes,
+    # and most of them many times
+    frame_proto = functools.cache(functools.partial(frame_prototype, cfg))
+    video_proto = functools.cache(functools.partial(video_prototype, cfg))
+    labels = functools.cache(functools.partial(label_sequence, cfg))
 
     store = FeatureStore.create(out_dir / "store", c=cfg.c, d_video=cfg.d_video)
     dataset = SynthDataset(root=out_dir, taxonomy=taxonomy, latents={})
@@ -173,10 +178,10 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> SynthDataset:
         verb, noun = [], []
         for i, example_id in enumerate(example_ids):
             rng = _example_rng(cfg, split_index, i)
-            z_verb, z_noun, frames, video = _generate_example(cfg, rng, protos_frame, protos_video)
+            z_verb, z_noun, frames, video = _generate_example(cfg, rng, frame_proto, video_proto)
             for t in range(cfg.n_input_clips):
                 store.write_clip(f"{example_id}#{t}", frames[t], video[t])
-            verb_ids, noun_ids = label_sequence(cfg, z_verb, z_noun)
+            verb_ids, noun_ids = labels(z_verb, z_noun)
             verb.append(verb_ids)
             noun.append(noun_ids)
             dataset.latents[example_id] = {"z_verb": z_verb, "z_noun": z_noun}

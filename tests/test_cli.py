@@ -219,6 +219,16 @@ class TestExitCodes:
                      "--taxonomy", paths[2], "--out-dir", str(tmp_path / "e")]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("temperature", ["1e-320", "inf"])
+    def test_non_finite_or_overflowing_temperature_is_2_and_named(self, workspace, tmp_path, capsys, temperature):
+        data = workspace / "data"
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint"), "--store", str(data / "store"),
+                     "--gt", str(data / "gt_val.json"), "--taxonomy", str(data / "taxonomy.json"),
+                     "--temperature", temperature, "--out-dir", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: temperature") and temperature in err, err
+        assert not (tmp_path / "e").exists()
+
     def test_truncated_ground_truth_is_2_and_named(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_val.json"
         gt.write_bytes((workspace / "data" / "gt_val.json").read_bytes()[:-20])
@@ -427,6 +437,8 @@ MALFORMED_CONFIGS = {
     "train_eval_every_negative": ("train", lambda p: p.update(eval_every=-1), "eval_every must be >= 0, got -1"),
     "train_momentum_negative": ("train", lambda p: p.update(momentum=-0.5), "momentum must be in [0, 1), got -0.5"),
     "train_momentum_above_one": ("train", lambda p: p.update(momentum=1.5), "momentum must be in [0, 1), got 1.5"),
+    "train_temperature_zero": ("train", lambda p: p.update(temperature=0),
+                               "temperature must be a finite number > 0, got 0"),
     "synth_N_float": ("gen-synth", lambda p: p.update(N=2.5), "'N' must be an integer"),
     "synth_n_train_string": ("gen-synth", lambda p: p.update(n_train="4"), "'n_train' must be an integer"),
     "synth_noise_std_string": ("gen-synth", lambda p: p.update(noise_std="0.1"), "'noise_std' must be a number"),

@@ -340,9 +340,19 @@ class TestSampleCandidates:
             assert pred_verb.min() >= 0 and pred_verb.max() < 3
             assert pred_noun.min() >= 0 and pred_noun.max() < 7
 
-    def test_bad_temperature(self, rng):
-        with pytest.raises(ValidationError, match="temperature"):
-            sample_candidates(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), K=2, temperature=0.0, seeds=[0])
+    def test_bad_temperature(self):
+        for temperature in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="temperature must be a finite number > 0"):
+                sample_candidates(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), K=2, temperature=temperature, seeds=[0])
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_temperature_that_scales_logits_past_float64_is_rejected(self, K):
+        verb, noun = np.tile([-2.0, 0.5, -1.0], (1, 2, 1)), np.ones((1, 2, 4))
+        with pytest.raises(ValidationError, match=r"temperature 1e-320 scales step logits of magnitude up to 2\.0"):
+            sample_candidates(verb, noun, K=K, temperature=1e-320, seeds=[0])
+        # a temperature the check lets through samples the argmax, without a warning
+        pred_verb, _ = sample_candidates(verb, noun, K=K, temperature=1e-300, seeds=[0])
+        assert (pred_verb == 1).all()
 
     def test_non_finite_logits_are_numeric_error(self):
         verb = np.zeros((2, 3, 4))

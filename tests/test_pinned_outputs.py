@@ -8,12 +8,18 @@ run-log losses and validation EDs, the prediction file and the report. A
 change that claims to keep every output byte is checked here rather than by
 hand.
 
+``MID_PIN`` is the sha256 of the ``predictions.json`` and ``report.json`` of
+one seed-0 train and eval at the benchmark's ``train_mid_attention`` shape
+(``perfbench/bench.py``), whose 0.5-8 MB arrays leave the small-object heap
+that the tiny configs never do. It leaves the checkpoint out: at that shape
+its bytes depend on the BLAS thread count.
+
 Float bytes depend on the numeric stack (numpy, and the BLAS kernels its
 GEMMs run on), so the pins hold only on the stack they were recorded on; on
 any other stack the test skips and names both stacks. To re-record after a
 change that is meant to move numerics, print ``_run_digest`` for each
-variant and ``_setup_digest`` of the fixture, and replace ``PINS``,
-``SETUP_PIN`` and ``PINNED_STACK`` together.
+variant, ``_setup_digest`` of the fixture and ``_mid_digest``, and replace
+``PINS``, ``SETUP_PIN``, ``MID_PIN`` and ``PINNED_STACK`` together.
 """
 
 import hashlib
@@ -45,6 +51,14 @@ PINS = {
     "img_plus_clip_text": "7f8cc34267ddf65d0a7b7044d6b4054d6544f12056b0f3b388a2dc8e3ee4c729",
     "clip_attention": "3a57334f1e8986b10b75b66f99edb4af10ffd651371826b19c1066898e190f76",
 }
+
+MID_PIN = "417d9a5bf9e6d628cc177e3af9d9b7db3815d8fcb3264e392cda4773a95da8ee"
+
+# perfbench/bench.py's train_mid_attention workload at seed 0: Ego4D's Z=20, 115 verbs and 478 nouns
+MID_SYNTH = dict(n_train=64, n_val=64, n_input_clips=2, N=32, c=128, d_video=256, signal_mode="single_frame",
+                 Z=20, n_verbs=115, n_nouns=478, seed=0)
+MID_TRAIN = dict(variant="clip_attention", epochs=2, batch_size=32, base_lr=3e-3, n_layers=2, n_heads_agg=8,
+                 n_heads_ca=8, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +106,22 @@ def test_set_up_files_match_the_pin(data):
     assert names == {"gt_train.json", "gt_val.json", "latents.json", "synth_config.json", "taxonomy.json",
                      "store/manifest.json"} | blobs
     assert _setup_digest(data) == SETUP_PIN
+
+
+def _mid_digest(root) -> str:
+    """Set up, train and evaluate (K=5, seed 0) the mid workload; digest of its prediction file and report."""
+    data = generate(SynthConfig(**MID_SYNTH), root / "data")
+    ckpt, _ = train(TrainConfig(store=str(data.store_path), gt=str(data.gt_train_path),
+                                taxonomy=str(data.taxonomy_path), out_dir=str(root / "run"), **MID_TRAIN))
+    pred_file, _ = run_eval(ckpt, data.store_path, data.gt_val_path, data.taxonomy_path, K=5, seed=0,
+                            out_dir=root / "eval")
+    fingerprints = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (pred_file, pred_file.parent / "report.json")}
+    return hashlib.sha256(json.dumps(fingerprints, sort_keys=True).encode()).hexdigest()
+
+
+def test_mid_profile_predictions_and_report_match_the_pin(tmp_path):
+    stack = numeric_stack()
+    if stack != PINNED_STACK:
+        pytest.skip(f"pins recorded on {PINNED_STACK!r}; this stack is {stack!r}")
+    assert _mid_digest(tmp_path) == MID_PIN
