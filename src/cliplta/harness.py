@@ -140,7 +140,7 @@ class Dataset:
 
     example_ids: list[str]
     video: np.ndarray        # (B, T, d_video)
-    frames: np.ndarray       # (B, T, N, c)
+    frames: np.ndarray | None   # (B, T, N, c); None once descriptors replace it
     verb_ids: np.ndarray     # (B, Z)
     noun_ids: np.ndarray
     clip_desc: np.ndarray | None = None   # (B, T, d_clip) for precomputed variants
@@ -192,7 +192,11 @@ def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarr
 
 def precompute_descriptors(dataset: Dataset, variant: str,
                            tables: dict[str, TextEmbeddingTable] | None) -> None:
-    """Fill dataset.clip_desc for variants whose aggregation has no trainable parts."""
+    """Fill dataset.clip_desc for variants whose aggregation has no trainable parts.
+
+    Only ``clip_attention`` reads frames in the model, so every other variant
+    drops them (``dataset.frames`` becomes None) once its descriptors exist.
+    """
     source = variant_spec(variant).clip_source
     if source == "mean":
         dataset.clip_desc = mean_pool(dataset.frames)
@@ -200,6 +204,8 @@ def precompute_descriptors(dataset: Dataset, variant: str,
         if tables is None:
             raise ValidationError(f"{variant} requires label text tables")
         dataset.clip_desc = img_text_concat(dataset.frames, tables)
+    if source != "attention":
+        dataset.frames = None
 
 
 def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, variant: str,
@@ -260,7 +266,8 @@ def _predict_dataset(model: LtaModel, dataset: Dataset, K: int, temperature: flo
     verb, noun = [], []
     for start in range(0, len(dataset), batch_size):
         idx = np.arange(start, min(start + batch_size, len(dataset)))
-        verb_logits, noun_logits, _ = model.forward_batch(dataset.batch(idx, model.config))
+        # only the logits: no forward cache stays live while sampling or into the next forward
+        verb_logits, noun_logits = model.forward_batch(dataset.batch(idx, model.config))[:2]
         v, n = sample_candidates(verb_logits, noun_logits, K, temperature, seeds[start:start + batch_size])
         verb.append(v)
         noun.append(n)
@@ -313,6 +320,8 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_index}")
             model.backward_batch(cache, d_verb, d_noun)
+            # one step's activations at a time: free them before the next forward
+            del cache, verb_logits, noun_logits, d_verb, d_noun
             _sgd_momentum_step(slots, lr, cfg.momentum)
             epoch_losses.append(loss)
 

@@ -321,9 +321,14 @@ def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, 
         ids = np.empty((B, K, Z), dtype=np.int64)
         ids[:, 0] = logits.argmax(axis=-1)
         if K > 1:
-            cdf = np.cumsum(nn.softmax(logits / temperature), axis=-1)
+            # nn.softmax and the cumsum, step by step in one float64 buffer: the same ops, the same bytes
+            cdf = logits / temperature
+            cdf -= cdf.max(axis=-1, keepdims=True)
+            np.exp(cdf, out=cdf)
+            cdf /= cdf.sum(axis=-1, keepdims=True)
+            np.cumsum(cdf, axis=-1, out=cdf)
             cdf /= cdf[..., -1:]
-            ids[:, 1:] = (cdf[:, None] <= uniforms[:, :, kind, :, None]).sum(axis=-1)
+            ids[:, 1:] = np.count_nonzero(cdf[:, None] <= uniforms[:, :, kind, :, None], axis=-1)
         out.append(ids)
     return out[0], out[1]
 

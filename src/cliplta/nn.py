@@ -66,16 +66,15 @@ class Module:
         self.children: dict[str, Module] = {}
 
     def param(self, name: str, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Register ``value`` as parameter ``name``; returns it and its zeroed gradient.
+        """Register ``value`` as parameter ``name``; returns it and its gradient array.
 
-        The gradient comes from ``np.zeros`` (calloc). Importing ``cliplta``
-        keeps freed arrays in the heap, so calloc usually reuses freed
-        memory and zeroes it with a write, even for a model that is only
-        evaluated; only memory fresh from the kernel stays untouched until
-        the first backward pass writes it.
+        The gradient comes from ``np.empty``: every backward pass writes
+        every gradient it owns (the write-once invariant above), so no
+        training step reads an unwritten one, and a model that is only
+        evaluated never touches them.
         """
         self.params[name] = value
-        self.grads[name] = grad = np.zeros(value.shape, value.dtype)
+        self.grads[name] = grad = np.empty(value.shape, value.dtype)
         return value, grad
 
     def child(self, name: str, module: Module) -> Module:
@@ -231,17 +230,21 @@ class FeedForward(Module):
         self.lin1 = self.child("lin1", Linear(rng, d_model, d_ff, dtype))
         self.lin2 = self.child("lin2", Linear(rng, d_ff, d_model, dtype))
 
+    # The ReLU overwrites lin1's output, so forward and backward each hold one
+    # d_ff-wide array: the cache is (c1, c2), and lin2's input c2 = relu(h)
+    # gives the backward its mask, since relu(h) > 0 exactly where h > 0
+    # (also for -0.0 and NaN).
     def forward(self, x: np.ndarray):
         h, c1 = self.lin1.forward(x)
-        a = np.maximum(h, 0)
-        out, c2 = self.lin2.forward(a)
-        return out, (c1, c2, h)
+        np.maximum(h, 0, out=h)
+        out, c2 = self.lin2.forward(h)
+        return out, (c1, c2)
 
     def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
-        c1, c2, h = cache
+        c1, c2 = cache
         da = self.lin2.backward(c2, d_out)
-        dh = da * (h > 0)
-        return self.lin1.backward(c1, dh)
+        da *= c2 > 0
+        return self.lin1.backward(c1, da)
 
 
 class TransformerLayer(Module):

@@ -94,18 +94,30 @@ class TestTrain:
                              K=2, seed=0, out_dir=tmp_path / f"{variant}_eval")
         assert 0.0 <= report.verb_ed <= 1.0
 
-    @pytest.mark.parametrize("variant, tables_built", [("img_plus_clip_text", 1), ("img_plus_clip", 0)])
+    @pytest.mark.parametrize("variant, tables_built", [("img_plus_clip_text", 1), ("img_plus_clip", 0),
+                                                       ("baseline", 0), ("clip_img_only", 0), ("clip_attention", 0)])
     def test_label_tables_built_once_and_only_for_text(self, synth, tmp_path, monkeypatch,
                                                         variant, tables_built):
         calls = []
         real = harness.build_text_table
         monkeypatch.setattr(harness, "build_text_table", lambda *a: calls.append(a[1]) or real(*a))
-        ckpt, _ = train(train_config(synth, tmp_path / "r", variant=variant, epochs=1,
+        # likewise, a split keeps its frames only for the variant whose model reads them
+        kept_frames = []
+        real_load_split = harness.load_split
+
+        def load_split(*args):
+            dataset = real_load_split(*args)
+            kept_frames.append(dataset.frames is not None)
+            return dataset
+
+        monkeypatch.setattr(harness, "load_split", load_split)
+        ckpt, _ = train(train_config(synth, tmp_path / "r", variant=variant, epochs=1, n_heads_ca=2,
                                      val_gt=str(synth.gt_val_path), eval_every=1))
         assert len(calls) == 4 * tables_built  # one table per category
         run_eval(ckpt, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=2,
                  out_dir=tmp_path / "e")
         assert len(calls) == 8 * tables_built
+        assert kept_frames == [VARIANTS[variant].clip_source == "attention"] * 3   # train, val, eval
 
     def test_val_split_with_other_horizon_rejected(self, synth, tmp_path):
         example_ids, verb, noun, gt_hash = read_ground_truth(synth.gt_val_path)
