@@ -4,15 +4,15 @@
 Builds stub text-embedding tables for a small kitchen-flavored taxonomy,
 plants a known noun direction in a few "frames", and shows how cosine
 ranking recovers the top-1 place/scenario and top-3 verbs/nouns per frame
-without any training.
+without any training. The probe takes all frames of a clip at once and
+returns one JSON-ready record per frame.
 """
 
 import json
 
 import numpy as np
 
-from cliplta import Taxonomy, build_text_table, stub_embed, zero_shot_probe
-from cliplta.aggregate import probe_record
+from cliplta import Taxonomy, build_text_table, zero_shot_probe
 from cliplta.taxonomy import CATEGORIES
 
 C = 64          # embedding width
@@ -26,18 +26,16 @@ taxonomy = Taxonomy(
 )
 
 # one table per category; every vocabulary entry goes through the same
-# prompt template before encoding
-encoder = lambda prompt: stub_embed(TEXT_SEED, prompt, C)
-tables = {cat: build_text_table(taxonomy, cat, "a photo of {}", encoder) for cat in CATEGORIES}
+# prompt template before encoding with the stub text encoder
+tables = {cat: build_text_table(taxonomy, cat, "a photo of {}", TEXT_SEED, C) for cat in CATEGORIES}
 
 print("probing frames that are noisy copies of known noun embeddings\n")
 rng = np.random.default_rng(0)
-for frame_idx, noun in enumerate(("pan", "onion", "knife")):
-    noun_id = taxonomy.nouns.index(noun)
-    frame = tables["noun"].embeddings[noun_id] + 0.05 * rng.standard_normal(C)
-    report = zero_shot_probe(frame, tables)
-    record = probe_record(report, frame_idx, taxonomy)
-    print(f"frame {frame_idx} (planted noun: {noun})")
+planted = ("pan", "onion", "knife")
+frames = np.stack([tables["noun"].embeddings[taxonomy.nouns.index(noun)] for noun in planted])
+frames += 0.05 * rng.standard_normal(frames.shape)
+for noun, record in zip(planted, zero_shot_probe(frames, tables, taxonomy)):
+    print(f"frame {record['frame']} (planted noun: {noun})")
     print(f"  place    -> {record['names']['place']}  (score {record['place'][1]:.3f})")
     print(f"  scenario -> {record['names']['scenario']}  (score {record['scenario'][1]:.3f})")
     print(f"  verbs    -> {record['names']['verbs']}")

@@ -46,8 +46,7 @@ taxonomy = Taxonomy(
     verbs=("take", "put", "cut"), nouns=("cup", "knife", "pan"),
     scenarios=("cooking", "cleaning"), places=("kitchen", "garden"),
 )
-encoder = lambda prompt: stub_embed(100, prompt, C)
-tables = {cat: build_text_table(taxonomy, cat, "a photo of {}", encoder) for cat in CATEGORIES}
+tables = {cat: build_text_table(taxonomy, cat, "a photo of {}", 100, C) for cat in CATEGORIES}
 concat = img_text_concat(frames, tables)
 print(f"img_text_concat   -> width {concat.shape[-1]} (= 5 x {C}: image block + "
       "top-1 noun/verb/scenario/place blocks)")

@@ -16,7 +16,6 @@ import ctypes
 
 from .aggregate import (
     CrossAttention,
-    ProbeReport,
     img_text_concat,
     mean_pool,
     rank_labels,

@@ -18,18 +18,17 @@ None of these apply positional information, so all three are invariant to
 frame order. ``rank_labels`` is the one cosine label ranker: it maps query
 rows (..., c) to the top-k ids (..., k) int64 and their scores (..., k)
 float64. ``img_text_concat`` retrieves with it, and so does the zero-shot
-probe of individual frames.
+probe of every frame of a clip, ``zero_shot_probe``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .featurestore import TextEmbeddingTable
 from .nn import Module, attention, attention_backward, init_uniform, merge_heads, split_heads
+from .taxonomy import Taxonomy
 
 # fixed order of the text blocks inside the 5c concat variant
 CONCAT_CATEGORIES = ("noun", "verb", "scenario", "place")
@@ -203,23 +202,21 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    top1_place: tuple[int, float]
-    top1_scenario: tuple[int, float]
-    top3_verbs: list[tuple[int, float]]
-    top3_nouns: list[tuple[int, float]]
+# the probe's record keys in record order: (key, category, k); a top-1 key holds one [id, score] pair
+_PROBE = (("place", "place", 1), ("scenario", "scenario", 1), ("verbs", "verb", 3), ("nouns", "noun", 3))
 
 
-def zero_shot_probe(frame: np.ndarray, tables: dict[str, TextEmbeddingTable]) -> ProbeReport:
-    """Rank labels for a single frame embedding against all four categories.
+def zero_shot_probe(frames: np.ndarray, tables: dict[str, TextEmbeddingTable], taxonomy: Taxonomy) -> list[dict]:
+    """Rank labels for every frame embedding of ``frames`` (N, c); one JSON-ready record per frame.
 
-    Top-1 for place and scenario, top-3 for verbs and nouns; verbs and nouns
-    vocabularies therefore need at least 3 entries.
+    A record holds the frame index, the top-1 place and scenario and the
+    top-3 verbs and nouns as [id, score] pairs, and their names under
+    ``names``; verb and noun vocabularies therefore need at least 3 entries.
+    Each category is one ``rank_labels`` call over all frames.
     """
-    frame = np.asarray(frame)
-    if frame.ndim != 1:
-        raise ValidationError(f"probe frame must be a vector, got shape {frame.shape}")
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2:
+        raise ValidationError(f"probe frames must have shape (N, c), got shape {frames.shape}")
     for category in CONCAT_CATEGORIES:
         if category not in tables:
             raise ValidationError(f"missing text table for category {category!r}")
@@ -228,31 +225,18 @@ def zero_shot_probe(frame: np.ndarray, tables: dict[str, TextEmbeddingTable]) ->
             raise ValidationError(
                 f"{category} vocabulary too small for a top-3 probe ({len(tables[category])} rows)"
             )
-
-    def top(category: str, k: int) -> list[tuple[int, float]]:
-        ids, scores = rank_labels(frame, tables[category], k)
-        return [(int(i), float(s)) for i, s in zip(ids, scores)]
-
-    return ProbeReport(
-        top1_place=top("place", 1)[0],
-        top1_scenario=top("scenario", 1)[0],
-        top3_verbs=top("verb", 3),
-        top3_nouns=top("noun", 3),
-    )
-
-
-def probe_record(report: ProbeReport, frame_index: int, taxonomy) -> dict:
-    """One JSON-ready probe line: ids and scores plus resolved names."""
-    return {
-        "frame": int(frame_index),
-        "place": [report.top1_place[0], report.top1_place[1]],
-        "scenario": [report.top1_scenario[0], report.top1_scenario[1]],
-        "verbs": [[i, s] for i, s in report.top3_verbs],
-        "nouns": [[i, s] for i, s in report.top3_nouns],
-        "names": {
-            "place": taxonomy.places[report.top1_place[0]],
-            "scenario": taxonomy.scenarios[report.top1_scenario[0]],
-            "verbs": [taxonomy.verbs[i] for i, _ in report.top3_verbs],
-            "nouns": [taxonomy.nouns[i] for i, _ in report.top3_nouns],
-        },
-    }
+    zero = np.flatnonzero(_row_norms(frames)[:, 0] == 0)
+    if zero.size:
+        raise ValidationError(f"frame {zero[0]} is a zero vector; cannot rank labels against it")
+    ranked = [(key, taxonomy.vocab(category), k, *rank_labels(frames, tables[category], k))
+              for key, category, k in _PROBE]
+    records = []
+    for i in range(len(frames)):
+        record, names = {"frame": i}, {}
+        for key, vocab, k, ids, scores in ranked:
+            pairs = [[j, score] for j, score in zip(ids[i].tolist(), scores[i].tolist())]
+            labels = [vocab[j] for j, _ in pairs]
+            record[key], names[key] = (pairs[0], labels[0]) if k == 1 else (pairs, labels)
+        record["names"] = names
+        records.append(record)
+    return records

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .aggregate import probe_record, zero_shot_probe
+from .aggregate import zero_shot_probe
 from .errors import NumericError, ValidationError, build_config, field_types, read_json_object, require, write_file
 from .featurestore import FeatureStore
 from .harness import TrainConfig, build_label_tables, run_eval, train
@@ -137,11 +137,11 @@ def _cmd_probe(args) -> int:
     frames, _ = store.read_clip(args.clip)
     tables = build_label_tables(taxonomy, store.c,
                                 **_given(text_seed=args.text_seed, prompt_template=args.template))
-    lines = []
-    for i, frame in enumerate(frames):
-        record = probe_record(zero_shot_probe(frame, tables), i, taxonomy)
-        lines.append(json.dumps(record))
-    text = "\n".join(lines) + "\n"
+    try:
+        records = zero_shot_probe(frames, tables, taxonomy)
+    except ValidationError as e:
+        raise ValidationError(f"clip {args.clip!r}: {e}") from e
+    text = "".join(json.dumps(record) + "\n" for record in records)
     if args.out:
         write_file(args.out, text)
     else:

@@ -25,7 +25,6 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class TextEmbeddingTable:
 
     category: str
     embeddings: np.ndarray
-    prompt_template: str
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -88,24 +86,21 @@ class TextEmbeddingTable:
 def build_text_table(
     taxonomy: Taxonomy,
     category: str,
-    prompt_template: str,
-    encoder: Callable[[str], np.ndarray],
+    template: str,
+    text_seed: int,
+    c: int,
 ) -> TextEmbeddingTable:
-    """Encode every vocabulary entry through a prompt template.
+    """Encode every vocabulary entry through a prompt template with the stub text encoder.
 
-    Row i is encoder(template with entry i substituted), so row order matches
-    taxonomy ids by construction.
+    Row i is ``stub_embed(text_seed, template with entry i substituted, c)``,
+    so row order matches taxonomy ids by construction.
     """
-    if prompt_template.count("{}") != 1:
+    if template.count("{}") != 1:
         raise ValidationError(
-            f"prompt template must contain exactly one '{{}}' placeholder, got {prompt_template!r}"
+            f"prompt template must contain exactly one '{{}}' placeholder, got {template!r}"
         )
-    vocab = taxonomy.vocab(category)
-    rows = [np.asarray(encoder(prompt_template.replace("{}", token)), dtype=np.float64) for token in vocab]
-    widths = {row.shape for row in rows}
-    if len(widths) != 1 or rows[0].ndim != 1:
-        raise ValidationError(f"encoder returned inconsistent shapes for category {category!r}")
-    return TextEmbeddingTable(category=category, embeddings=np.stack(rows), prompt_template=prompt_template)
+    rows = [stub_embed(text_seed, template.replace("{}", token), c) for token in taxonomy.vocab(category)]
+    return TextEmbeddingTable(category=category, embeddings=np.stack(rows))
 
 
 # what a clip array holding a non-finite value is called, by the manifest field naming its blob
@@ -118,6 +113,18 @@ def _require_finite(array: np.ndarray, clip_id: str, field: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValidationError(_NON_FINITE[field].format(clip_id))
     return array
+
+
+def _require_widths(c, d_video, what: str) -> tuple[int, int]:
+    """(c, d_video) if both are integers >= 1; raises ValidationError naming ``what`` and the width otherwise.
+
+    The writer checks the widths it is given and the reader the widths a
+    manifest holds, so every store the writer seals opens again.
+    """
+    for key, width in (("c", c), ("d_video", d_video)):
+        if require(width, int, f"{what} '{key}'") < 1:
+            raise ValidationError(f"{what} '{key}' must be >= 1, got {width}")
+    return c, d_video
 
 
 def _clip_entry_id(entry) -> str:
@@ -144,7 +151,7 @@ class FeatureStore:
     after sealing.
     """
 
-    def __init__(self, root: Path, c: int | None, d_video: int | None, *, writable: bool):
+    def __init__(self, root: Path, c: int, d_video: int, *, writable: bool):
         self.root = Path(root)
         self._prefix = os.path.join(self.root, "")  # blob paths are this str plus a file name
         self.c = c
@@ -155,8 +162,9 @@ class FeatureStore:
     # -- writer side ---------------------------------------------------
 
     @classmethod
-    def create(cls, root: str | Path, c: int | None = None, d_video: int | None = None) -> "FeatureStore":
-        """Start an empty store; widths may be left None to adopt the first write."""
+    def create(cls, root: str | Path, c: int, d_video: int) -> "FeatureStore":
+        """Start an empty store of frame width ``c`` and video width ``d_video``, each an integer >= 1."""
+        _require_widths(c, d_video, "store width")
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         if (root / MANIFEST_NAME).exists():
@@ -182,13 +190,9 @@ class FeatureStore:
         if clip_id in self._clips:
             raise ValidationError(f"duplicate clip id {clip_id!r}")
         n_frames, c = frames.shape
-        if self.c is None:
-            self.c = c
-        elif c != self.c:
+        if c != self.c:
             raise ValidationError(f"frame width {c} does not match store width c={self.c}")
-        if self.d_video is None:
-            self.d_video = len(video)
-        elif len(video) != self.d_video:
+        if len(video) != self.d_video:
             raise ValidationError(
                 f"video width {len(video)} does not match store width d_video={self.d_video}"
             )
@@ -209,8 +213,8 @@ class FeatureStore:
         if not self._writable:
             raise ValidationError("store is already sealed")
         manifest = {
-            "c": int(self.c) if self.c is not None else 0,
-            "d_video": int(self.d_video) if self.d_video is not None else 0,
+            "c": self.c,
+            "d_video": self.d_video,
             "dtype": DTYPE_TAG,
             "clips": list(self._clips.values()),
         }
@@ -229,11 +233,7 @@ class FeatureStore:
         where = f"store manifest {manifest_path}"
         if manifest.get("dtype") != DTYPE_TAG:
             raise ValidationError(f"{where}: 'dtype' must be {DTYPE_TAG!r}, got {manifest.get('dtype')!r}")
-        c = require(manifest.get("c"), int, f"{where}: 'c'")
-        d_video = require(manifest.get("d_video"), int, f"{where}: 'd_video'")
-        for key, width in (("c", c), ("d_video", d_video)):
-            if width < 1:
-                raise ValidationError(f"{where}: '{key}' must be >= 1, got {width}")
+        c, d_video = _require_widths(manifest.get("c"), manifest.get("d_video"), f"{where}:")
         store = cls(root, c, d_video, writable=False)
         for i, entry in enumerate(require(manifest.get("clips"), list, f"{where}: 'clips'")):
             try:

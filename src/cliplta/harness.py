@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregate import img_text_concat, mean_pool
 from .errors import NumericError, ValidationError, check_minimums, write_file
-from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table, stub_embed
+from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table
 from .metrics import EvalReport, check_labels, ed_at_zk, read_ground_truth, score, write_predictions
 # run_eval scores from memory and does not call evaluate; the name is bound here because the
 # benchmark's tracer (perfbench/spans.py) wraps harness.evaluate, and fails without it
@@ -97,7 +97,6 @@ _MODEL_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name in {g.name f
 @dataclass
 class RunLog:
     records: list[dict] = field(default_factory=list)
-    checkpoint_path: str = ""
 
     def append(self, record: dict) -> None:
         if self.records and record["epoch"] <= self.records[-1]["epoch"]:
@@ -113,8 +112,7 @@ class RunLog:
 def build_label_tables(taxonomy: Taxonomy, c: int, text_seed: int = LtaModelConfig.text_seed,
                        prompt_template: str = LtaModelConfig.label_template) -> dict[str, TextEmbeddingTable]:
     """Stub text-encoder tables for all four categories."""
-    encoder = lambda prompt: stub_embed(text_seed, prompt, c)
-    return {cat: build_text_table(taxonomy, cat, prompt_template, encoder) for cat in CATEGORIES}
+    return {cat: build_text_table(taxonomy, cat, prompt_template, text_seed, c) for cat in CATEGORIES}
 
 
 def _variant_tables(variant: str, taxonomy: Taxonomy, c: int, text_seed: int,
@@ -339,16 +337,15 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     out_dir = Path(cfg.out_dir)
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(model, ckpt_dir)
-    log.checkpoint_path = str(ckpt_dir)
     log.save(out_dir / "runlog.jsonl")
     write_file(out_dir / "train_config.json", json.dumps(asdict(cfg), indent=2) + "\n")
     return ckpt_dir, log
 
 
-def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path: str | Path,
+def run_eval(checkpoint: str | Path, store_path: str | Path, gt_path: str | Path,
              taxonomy_path: str | Path, *, K: int = 5, temperature: float = 1.0, seed: int = 0,
              out_dir: str | Path | None = None) -> tuple[Path, EvalReport]:
-    """Predict on a split and score it; returns (prediction file, report).
+    """Predict on a split from the checkpoint directory ``checkpoint``, score it; returns (prediction file, report).
 
     Featurization settings (text seed, prompt templates) come from the
     checkpoint config, so evaluation cannot silently diverge from training.
@@ -361,12 +358,7 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     check_temperature(temperature)
-    in_memory = isinstance(checkpoint, LtaModel)
-    if out_dir is None:
-        if in_memory:
-            raise ValidationError("out_dir is required when evaluating an in-memory model")
-        out_dir = Path(checkpoint).parent
-    model = checkpoint if in_memory else load_checkpoint(checkpoint)
+    model = load_checkpoint(checkpoint)
     cfg = model.config
     taxonomy = load_taxonomy(taxonomy_path)
     if len(taxonomy.verbs) != cfg.n_verbs or len(taxonomy.nouns) != cfg.n_nouns:
@@ -378,7 +370,7 @@ def run_eval(checkpoint: str | Path | LtaModel, store_path: str | Path, gt_path:
     dataset = load_split(store, gt_path, taxonomy, cfg.variant, tables, (cfg.Z, cfg.n_input_clips))
 
     verb, noun = _predict_dataset(model, dataset, K, temperature, seed)
-    out_dir = Path(out_dir)
+    out_dir = Path(checkpoint).parent if out_dir is None else Path(out_dir)
     pred_file = out_dir / "predictions.json"
     write_predictions(pred_file, dataset.example_ids, verb, noun, taxonomy.sha256())
     report = score(dataset.example_ids, verb, noun, dataset.verb_ids, dataset.noun_ids)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cliplta import Taxonomy, build_text_table, stub_embed
+from cliplta import Taxonomy, build_text_table
 from cliplta.taxonomy import CATEGORIES
 
 
@@ -18,9 +18,7 @@ def small_taxonomy():
 @pytest.fixture
 def stub_tables(small_taxonomy):
     def make(c=16, seed=100):
-        encoder = lambda prompt: stub_embed(seed, prompt, c)
-        return {cat: build_text_table(small_taxonomy, cat, "a photo of {}", encoder)
-                for cat in CATEGORIES}
+        return {cat: build_text_table(small_taxonomy, cat, "a photo of {}", seed, c) for cat in CATEGORIES}
     return make
 
 

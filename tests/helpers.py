@@ -1,6 +1,7 @@
 """Shared test utilities: the brute-force edit oracle, the reference edit
 distance, gradient checking, single-clip attention, the one-example
-reference sampler, the reference split loader, and run-output fingerprints."""
+reference sampler, the reference split loader, the per-frame reference
+probe, and run-output fingerprints."""
 
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from cliplta import nn
-from cliplta.aggregate import cross_attention_forward
+from cliplta.aggregate import cross_attention_forward, rank_labels
 from cliplta.harness import Dataset
 
 
@@ -173,6 +174,37 @@ def reference_sample_candidates(verb_logits, noun_logits, K: int, temperature: f
             verb_rows.append(np.array([rng.choice(p_verb.shape[1], p=p_verb[z]) for z in range(Z)]))
             noun_rows.append(np.array([rng.choice(p_noun.shape[1], p=p_noun[z]) for z in range(Z)]))
     return np.stack(verb_rows), np.stack(noun_rows)
+
+
+def reference_probe_records(frames, tables, taxonomy) -> list[dict]:
+    """The zero-shot probe records as the per-frame probe built them.
+
+    Each frame (c,) is ranked alone, one ``rank_labels`` call per category,
+    and its record is built from those (id, score) pairs: the form whose
+    records, and ``json.dumps`` bytes, the batched ``zero_shot_probe`` must
+    give exactly.
+    """
+    records = []
+    for i, frame in enumerate(np.asarray(frames)):
+        def top(category, k):
+            ids, scores = rank_labels(frame, tables[category], k)
+            return [(int(j), float(s)) for j, s in zip(ids, scores)]
+
+        place, scenario, verbs, nouns = top("place", 1)[0], top("scenario", 1)[0], top("verb", 3), top("noun", 3)
+        records.append({
+            "frame": i,
+            "place": [place[0], place[1]],
+            "scenario": [scenario[0], scenario[1]],
+            "verbs": [[j, s] for j, s in verbs],
+            "nouns": [[j, s] for j, s in nouns],
+            "names": {
+                "place": taxonomy.places[place[0]],
+                "scenario": taxonomy.scenarios[scenario[0]],
+                "verbs": [taxonomy.verbs[j] for j, _ in verbs],
+                "nouns": [taxonomy.nouns[j] for j, _ in nouns],
+            },
+        })
+    return records
 
 
 def output_fingerprints(run_dir) -> dict[str, str]:

@@ -31,11 +31,7 @@ from cliplta import (
     train,
     zero_shot_probe,
 )
-from cliplta.aggregate import (
-    cross_attention_backward,
-    cross_attention_forward,
-    probe_record,
-)
+from cliplta.aggregate import cross_attention_backward, cross_attention_forward
 from cliplta.model import LtaModelConfig, batch_loss_and_grads
 from helpers import attend, brute_force_edit_distance, finite_difference, max_rel_err
 
@@ -293,15 +289,12 @@ class TestZeroShotProbe:
         tables = stub_tables(c=64)
         n_nouns = len(tables["noun"])
         validator = jsonschema.Draft202012Validator(PROBE_RECORD_SCHEMA)
-        hits = 0
-        for i in range(100):
-            noun_id = i % n_nouns
-            base = tables["noun"].embeddings[noun_id]
-            frame = base + 0.01 * rng.standard_normal(64)
-            report = zero_shot_probe(frame, tables)
-            hits += report.top3_nouns[0][0] == noun_id
-            record = json.loads(json.dumps(probe_record(report, i, small_taxonomy)))
-            validator.validate(record)
+        noun_ids = np.arange(100) % n_nouns
+        frames = tables["noun"].embeddings[noun_ids] + 0.01 * rng.standard_normal((100, 64))
+        records = zero_shot_probe(frames, tables, small_taxonomy)
+        hits = sum(record["nouns"][0][0] == noun_id for record, noun_id in zip(records, noun_ids))
+        for record in records:
+            validator.validate(json.loads(json.dumps(record)))
         assert hits == 100, f"top-1 noun retrieval {hits}/100"
         _passed("zero-shot-probe")
 
@@ -329,7 +322,7 @@ class TestDeterminismAndRoundTrips:
 
         # feature-store round trip is bit-exact, awkward values included
         tricky = np.array([[-0.0, np.finfo(np.float32).tiny, 1e-45, 1.5]], dtype=np.float32)
-        store = FeatureStore.create(tmp_path / "store")
+        store = FeatureStore.create(tmp_path / "store", c=4, d_video=4)
         store.write_clip("x", tricky, tricky[0])
         store.seal()
         frames, video = FeatureStore.open(tmp_path / "store").read_clip("x")

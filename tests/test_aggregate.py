@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from cliplta import (
     CrossAttention,
-    Taxonomy,
     TextEmbeddingTable,
     ValidationError,
     img_text_concat,
@@ -13,12 +13,8 @@ from cliplta import (
     rank_labels,
     zero_shot_probe,
 )
-from cliplta.aggregate import (
-    cross_attention_backward,
-    cross_attention_forward,
-    probe_record,
-)
-from helpers import attend, finite_difference, max_rel_err
+from cliplta.aggregate import cross_attention_backward, cross_attention_forward
+from helpers import attend, finite_difference, max_rel_err, reference_probe_records
 
 
 class TestMeanPool:
@@ -46,8 +42,7 @@ class TestMeanPool:
 
 
 def table_from_rows(rows, category="noun"):
-    return TextEmbeddingTable(category=category, embeddings=np.asarray(rows, dtype=float),
-                              prompt_template="a photo of {}")
+    return TextEmbeddingTable(category=category, embeddings=np.asarray(rows, dtype=float))
 
 
 class TestRankLabels:
@@ -243,44 +238,59 @@ class TestCrossAttention:
 
 
 class TestZeroShotProbe:
-    def test_exact_row_match(self, stub_tables):
+    def test_exact_row_match(self, stub_tables, small_taxonomy):
         tables = stub_tables(c=16)
-        frame = tables["noun"].embeddings[2]
-        report = zero_shot_probe(frame, tables)
-        assert report.top3_nouns[0][0] == 2
-        assert report.top3_nouns[0][1] == pytest.approx(1.0, abs=1e-9)
+        [record] = zero_shot_probe(tables["noun"].embeddings[2][None], tables, small_taxonomy)
+        assert record["nouns"][0][0] == 2
+        assert record["nouns"][0][1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_small_perturbation_keeps_top1(self, rng, stub_tables):
+    def test_small_perturbation_keeps_top1(self, rng, stub_tables, small_taxonomy):
         tables = stub_tables(c=64)
-        for noun_id in range(3):
-            base = tables["noun"].embeddings[noun_id]
-            frame = base + 0.01 * rng.standard_normal(64)
-            report = zero_shot_probe(frame, tables)
-            assert report.top3_nouns[0][0] == noun_id
+        frames = tables["noun"].embeddings[:3] + 0.01 * rng.standard_normal((3, 64))
+        records = zero_shot_probe(frames, tables, small_taxonomy)
+        assert [record["nouns"][0][0] for record in records] == [0, 1, 2]
 
-    def test_scores_non_increasing(self, rng, stub_tables):
+    def test_scores_non_increasing(self, rng, stub_tables, small_taxonomy):
         tables = stub_tables(c=16)
-        report = zero_shot_probe(rng.standard_normal(16), tables)
-        for ranked in (report.top3_verbs, report.top3_nouns):
-            scores = [s for _, s in ranked]
-            assert scores == sorted(scores, reverse=True)
+        for record in zero_shot_probe(rng.standard_normal((5, 16)), tables, small_taxonomy):
+            for key in ("verbs", "nouns"):
+                scores = [s for _, s in record[key]]
+                assert scores == sorted(scores, reverse=True)
 
-    def test_small_vocabulary_rejected(self, stub_tables):
+    def test_small_vocabulary_rejected(self, stub_tables, small_taxonomy):
         tables = stub_tables(c=16)
-        tiny = Taxonomy(verbs=("a", "b"), nouns=("x", "y", "z"), scenarios=("s",), places=("p",))
         rows = tables["verb"].embeddings[:2]
-        tables["verb"] = TextEmbeddingTable(category="verb", embeddings=rows, prompt_template="{}")
+        tables["verb"] = TextEmbeddingTable(category="verb", embeddings=rows)
         with pytest.raises(ValidationError, match="too small"):
-            zero_shot_probe(np.ones(16), tables)
+            zero_shot_probe(np.ones((1, 16)), tables, small_taxonomy)
 
-    def test_frame_matrix_rejected(self, stub_tables):
-        with pytest.raises(ValidationError, match="vector"):
-            zero_shot_probe(np.ones((2, 16)), stub_tables(c=16))
+    @pytest.mark.parametrize("shape", [(16,), (1, 2, 16)], ids=["vector", "3d"])
+    def test_frames_not_a_matrix_rejected(self, stub_tables, small_taxonomy, shape):
+        with pytest.raises(ValidationError, match=r"shape \(N, c\)"):
+            zero_shot_probe(np.ones(shape), stub_tables(c=16), small_taxonomy)
+
+    def test_zero_frame_names_its_index(self, rng, stub_tables, small_taxonomy):
+        frames = rng.standard_normal((4, 16))
+        frames[2] = 0.0
+        with pytest.raises(ValidationError, match="^frame 2 is a zero vector"):
+            zero_shot_probe(frames, stub_tables(c=16), small_taxonomy)
 
     def test_probe_record_shape(self, rng, stub_tables, small_taxonomy):
-        tables = stub_tables(c=16)
-        record = probe_record(zero_shot_probe(rng.standard_normal(16), tables), 4, small_taxonomy)
-        assert record["frame"] == 4
+        records = zero_shot_probe(rng.standard_normal((5, 16)), stub_tables(c=16), small_taxonomy)
+        assert [record["frame"] for record in records] == [0, 1, 2, 3, 4]
+        record = records[4]
+        assert list(record) == ["frame", "place", "scenario", "verbs", "nouns", "names"]
+        assert list(record["names"]) == ["place", "scenario", "verbs", "nouns"]
         assert len(record["verbs"]) == 3 and len(record["nouns"]) == 3
         assert record["names"]["place"] in small_taxonomy.places
         assert all(name in small_taxonomy.nouns for name in record["names"]["nouns"])
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 7, 64])
+    @pytest.mark.parametrize("c, dtype", [(16, np.float64), (512, np.float32)])
+    def test_batched_probe_is_the_per_frame_probe(self, stub_tables, small_taxonomy, n_frames, c, dtype):
+        tables = stub_tables(c=c, seed=n_frames)
+        frames = np.random.default_rng(n_frames).standard_normal((n_frames, c)).astype(dtype)
+        got = zero_shot_probe(frames, tables, small_taxonomy)
+        want = reference_probe_records(frames, tables, small_taxonomy)
+        assert got == want
+        assert [json.dumps(record) for record in got] == [json.dumps(record) for record in want]

@@ -78,6 +78,23 @@ class TestPipeline:
         assert set(record) == {"frame", "place", "scenario", "verbs", "nouns", "names"}
         assert len(record["nouns"]) == 3
 
+    @pytest.mark.parametrize("flags, table_args", [
+        pytest.param([], {}, id="defaults"),
+        pytest.param(["--template", "{} x", "--text-seed", "3"], {"prompt_template": "{} x", "text_seed": 3}, id="flags"),
+    ])
+    def test_probe_output_is_the_per_frame_probe(self, workspace, capsys, flags, table_args):
+        from cliplta import FeatureStore, load_taxonomy
+        from cliplta.harness import build_label_tables
+        from helpers import reference_probe_records
+
+        data = workspace / "data"
+        assert main(["probe", "--store", str(data / "store"), "--taxonomy", str(data / "taxonomy.json"),
+                     "--clip", "val_00002#1", *flags]) == 0
+        taxonomy, store = load_taxonomy(data / "taxonomy.json"), FeatureStore.open(data / "store")
+        tables = build_label_tables(taxonomy, store.c, **table_args)
+        records = reference_probe_records(store.read_clip("val_00002#1")[0], tables, taxonomy)
+        assert capsys.readouterr().out == "".join(json.dumps(record) + "\n" for record in records)
+
     def test_flag_overrides_config(self, workspace, tmp_path, capsys):
         # config says 20 epochs, flag forces 1
         cfg = tmp_path / "train.json"
@@ -181,6 +198,23 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert f"{store_copy / 'manifest.json'}: clips[0].frames_file: " in err and "holds 92 bytes" in err, err
+
+    def test_zero_frame_is_2_and_names_the_clip_and_frame(self, workspace, tmp_path, capsys):
+        import shutil
+
+        store_copy = shutil.copytree(workspace / "data" / "store", tmp_path / "store")
+        c = json.loads((store_copy / "manifest.json").read_text(encoding="utf-8"))["c"]
+        blob = store_copy / "clip_000000.frames.bin"
+        values = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+        values[c:2 * c] = 0.0
+        blob.write_bytes(values.tobytes())
+        assert main([
+            "probe", "--store", str(store_copy),
+            "--taxonomy", str(workspace / "data" / "taxonomy.json"),
+            "--clip", "train_00000#0",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: clip 'train_00000#0': frame 1 is a zero vector; cannot rank labels against it\n", err
 
     def test_out_of_range_ground_truth_id_is_2_before_training(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_train.json"

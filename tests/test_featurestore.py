@@ -43,7 +43,7 @@ class TestStubEmbed:
 
 class TestStoreRoundTrip:
     def test_write_read_identity(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=2)
         frames = np.arange(12, dtype=np.float32).reshape(3, 4)
         video = np.array([9.0, 8.0], dtype=np.float32)
         store.write_clip("a", frames, video)
@@ -59,7 +59,7 @@ class TestStoreRoundTrip:
              [np.finfo(np.float32).max, -np.finfo(np.float32).max, 0.0, 1.0]],
             dtype=np.float32,
         )
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=4)
         store.write_clip("a", tricky, tricky[0])
         store.seal()
         got_frames, got_video = FeatureStore.open(tmp_path / "s").read_clip("a")
@@ -67,7 +67,7 @@ class TestStoreRoundTrip:
         assert got_video.tobytes() == tricky[0].tobytes()
 
     def test_random_round_trip_bit_exact(self, tmp_path, rng):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=7, d_video=3)
         originals = {}
         for i in range(5):
             frames = rng.standard_normal((rng.integers(1, 6), 7)).astype(np.float32)
@@ -84,7 +84,7 @@ class TestStoreRoundTrip:
             assert got_video.tobytes() == video.tobytes()
 
     def test_manifest_schema(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
@@ -100,7 +100,7 @@ class TestStoreRoundTrip:
 
 class TestStoreErrors:
     def test_duplicate_clip_id(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         with pytest.raises(ValidationError, match="duplicate"):
             store.write_clip("a", np.ones((2, 4)), np.ones(3))
@@ -111,14 +111,14 @@ class TestStoreErrors:
             store.write_clip("a", np.ones((2, 8)), np.ones(3))
 
     def test_unknown_clip(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         with pytest.raises(ValidationError, match="missing"):
             FeatureStore.open(tmp_path / "s").read_clip("missing")
 
     def test_truncated_blob_is_corruption(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         blob = tmp_path / "s" / "clip_000000.frames.bin"
@@ -128,7 +128,7 @@ class TestStoreErrors:
             FeatureStore.open(tmp_path / "s").read_clip("a")
 
     def test_long_blob_is_named(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.write_clip("b", np.ones((2, 4)), np.ones(3))
         store.seal()
@@ -140,7 +140,7 @@ class TestStoreErrors:
 
     @pytest.mark.parametrize("field, index", [("frames_file", 5), ("video_file", 2)])
     def test_nonfinite_blob_names_entry(self, tmp_path, field, index):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         blob = tmp_path / "s" / ("clip_000000.frames.bin" if field == "frames_file" else "clip_000000.video.bin")
@@ -153,7 +153,7 @@ class TestStoreErrors:
 
     @pytest.mark.parametrize("key", ["c", "d_video"])
     def test_nonpositive_width_is_named(self, tmp_path, key):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         manifest = tmp_path / "s" / "manifest.json"
@@ -163,8 +163,26 @@ class TestStoreErrors:
         with pytest.raises(ValidationError, match=re.escape(f"{manifest}: '{key}' must be >= 1")):
             FeatureStore.open(tmp_path / "s")
 
+    @pytest.mark.parametrize("c, d_video, message", [
+        pytest.param(0, 3, "store width 'c' must be >= 1, got 0", id="c_zero"),
+        pytest.param(4, -3, "store width 'd_video' must be >= 1, got -3", id="d_video_negative"),
+        pytest.param(None, 3, "store width 'c' must be an integer, got None", id="c_none"),
+        pytest.param(4, 3.0, "store width 'd_video' must be an integer, got 3.0", id="d_video_float"),
+        pytest.param(True, 3, "store width 'c' must be an integer, got True", id="c_bool"),
+    ])
+    def test_create_rejects_widths_that_are_not_integers_from_1(self, tmp_path, c, d_video, message):
+        # such a width would seal a manifest that FeatureStore.open rejects
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            FeatureStore.create(tmp_path / "s", c, d_video)
+        assert not (tmp_path / "s").exists()
+
+    def test_store_sealed_without_a_write_opens(self, tmp_path):
+        FeatureStore.create(tmp_path / "s", c=4, d_video=3).seal()
+        reader = FeatureStore.open(tmp_path / "s")
+        assert (reader.c, reader.d_video) == (4, 3) and "a" not in reader
+
     def test_sealed_store_rejects_writes(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         store.write_clip("a", np.ones((2, 4)), np.ones(3))
         store.seal()
         with pytest.raises(ValidationError, match="sealed"):
@@ -187,16 +205,16 @@ class TestStoreErrors:
                      "video descriptor for clip 'a' must be a 1-d vector, got shape (0,)", id="video_empty"),
     ])
     def test_malformed_arrays_are_rejected_before_any_write(self, tmp_path, frames, video, message):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=4, d_video=3)
         with pytest.raises(ValidationError, match=re.escape(message)):
             store.write_clip("a", frames, video)
         assert list((tmp_path / "s").iterdir()) == []
-        store.write_clip("a", np.ones((2, 4)), np.ones(3))  # the failed write took neither the id nor the widths
+        store.write_clip("a", np.ones((2, 4)), np.ones(3))  # the failed write did not take the id
         store.seal()
         assert FeatureStore.open(tmp_path / "s").c == 4
 
     def test_read_clip_returns_float32_arrays(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=2, d_video=2)
         store.write_clip("a", np.arange(6.0).reshape(3, 2), [7.0, 8.0])
         store.seal()
         frames, video = FeatureStore.open(tmp_path / "s").read_clip("a")
@@ -206,27 +224,23 @@ class TestStoreErrors:
 
 class TestTextTable:
     def test_construction_and_row_order(self, small_taxonomy):
-        encoder = lambda prompt: stub_embed(3, prompt, 8)
-        table = build_text_table(small_taxonomy, "noun", "a photo of {}", encoder)
+        table = build_text_table(small_taxonomy, "noun", "a photo of {}", 3, 8)
         assert len(table) == len(small_taxonomy.nouns)
         assert table.width == 8
         np.testing.assert_array_equal(table.embeddings[0], stub_embed(3, "a photo of cup", 8))
 
     def test_rebuild_identical(self, small_taxonomy):
-        encoder = lambda prompt: stub_embed(3, prompt, 8)
-        t1 = build_text_table(small_taxonomy, "noun", "a photo of {}", encoder)
-        t2 = build_text_table(small_taxonomy, "noun", "a photo of {}", encoder)
+        t1 = build_text_table(small_taxonomy, "noun", "a photo of {}", 3, 8)
+        t2 = build_text_table(small_taxonomy, "noun", "a photo of {}", 3, 8)
         np.testing.assert_array_equal(t1.embeddings, t2.embeddings)
 
     def test_template_without_placeholder(self, small_taxonomy):
-        encoder = lambda prompt: stub_embed(3, prompt, 8)
         with pytest.raises(ValidationError, match="placeholder"):
-            build_text_table(small_taxonomy, "noun", "no placeholder", encoder)
+            build_text_table(small_taxonomy, "noun", "no placeholder", 3, 8)
 
     def test_template_with_two_placeholders(self, small_taxonomy):
-        encoder = lambda prompt: stub_embed(3, prompt, 8)
         with pytest.raises(ValidationError, match="placeholder"):
-            build_text_table(small_taxonomy, "noun", "{} and {}", encoder)
+            build_text_table(small_taxonomy, "noun", "{} and {}", 3, 8)
 
 
 class TestReadBlob:

@@ -178,13 +178,13 @@ def trained(synth, tmp_path_factory):
 
 class TestRunEval:
     def test_checkpoint_round_trip_evaluation(self, synth, trained, tmp_path):
-        model = load_checkpoint(trained)
-        pred_mem, rep_mem = run_eval(model, synth.store_path, synth.gt_val_path,
-                                     synth.taxonomy_path, K=3, seed=4, out_dir=tmp_path / "mem")
+        save_checkpoint(load_checkpoint(trained), tmp_path / "resaved")
+        pred_resaved, rep_resaved = run_eval(tmp_path / "resaved", synth.store_path, synth.gt_val_path,
+                                             synth.taxonomy_path, K=3, seed=4, out_dir=tmp_path / "eval")
         pred_disk, rep_disk = run_eval(trained, synth.store_path, synth.gt_val_path,
                                        synth.taxonomy_path, K=3, seed=4, out_dir=tmp_path / "disk")
-        assert pred_mem.read_bytes() == pred_disk.read_bytes()
-        assert rep_mem == rep_disk
+        assert pred_resaved.read_bytes() == pred_disk.read_bytes()
+        assert rep_resaved == rep_disk
 
     def test_self_consistency_on_own_argmax(self, synth, trained, tmp_path):
         # ground truth copied from the model's own greedy predictions must
@@ -246,12 +246,6 @@ def variant_runs(synth, tmp_path_factory):
 
 
 class TestEvalDoesEachStepOnce:
-    def test_in_memory_model_without_out_dir_rejected_before_loading(self, synth, trained, monkeypatch):
-        model = load_checkpoint(trained)
-        monkeypatch.setattr(harness, "load_split", lambda *args, **kwargs: pytest.fail("split loaded"))
-        with pytest.raises(ValidationError, match="out_dir is required"):
-            run_eval(model, synth.store_path, synth.gt_val_path, synth.taxonomy_path)
-
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_report_is_scored_from_memory(self, synth, variant_runs, tmp_path, monkeypatch, variant):
         calls = []
@@ -274,21 +268,20 @@ class TestEvalDoesEachStepOnce:
                                                                        tmp_path, variant):
         from_path = shutil.copytree(variant_runs[variant], tmp_path / "path")
         from_memory = shutil.copytree(variant_runs[variant], tmp_path / "memory")
-        # the in-memory model is built with its random init, then given the trained values
+        # the in-memory model is built with its random init, given the trained values and saved
         ckpt = from_path / "checkpoint"
         model = LtaModel(LtaModelConfig(**json.loads((ckpt / "config.json").read_text(encoding="utf-8"))))
         for name, value in model.named_parameters().items():
             value[...] = np.fromfile(ckpt / f"{name}.bin", dtype="<f4").reshape(value.shape)
         save_checkpoint(model, from_memory / "checkpoint")
         run_eval(ckpt, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2)
-        run_eval(model, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2,
-                 out_dir=from_memory)
+        run_eval(from_memory / "checkpoint", synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=2)
         assert output_fingerprints(from_path) == output_fingerprints(from_memory)
 
 
 class TestLoadDataset:
     def test_mixed_frame_counts_name_the_manifest_entry(self, tmp_path):
-        store = FeatureStore.create(tmp_path / "s")
+        store = FeatureStore.create(tmp_path / "s", c=2, d_video=2)
         for clip_id, n_frames in (("e#0", 3), ("e#1", 4)):
             store.write_clip(clip_id, np.ones((n_frames, 2)), np.ones(2))
         store.seal()

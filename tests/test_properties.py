@@ -130,7 +130,7 @@ def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
     example_ids = [f"e{b}" for b in range(B)]
     verb_ids = noun_ids = np.zeros((B, 1), dtype=np.int64)
     with tempfile.TemporaryDirectory() as root:
-        store = FeatureStore.create(root)
+        store = FeatureStore.create(root, c, d_video)
         for b, eid in enumerate(example_ids):
             for t in range(T):
                 store.write_clip(f"{eid}#{t}", frames[b, t], video[b, t])
