@@ -12,7 +12,8 @@ descriptor per clip:
   frames through multi-head attention; the weighted average of the projected
   frames is the descriptor, (B, N, c) -> (B, c). It is the one trainable
   aggregator, so it also has a backward pass, ``cross_attention_backward``,
-  which follows the layer protocol of :mod:`cliplta.nn`.
+  which writes every gradient of its :class:`CrossAttention`, the query's
+  too, as the layers of :mod:`cliplta.nn` do.
 
 None of these apply positional information, so all three are invariant to
 frame order. ``rank_labels`` is the one cosine label ranker: it maps query
@@ -110,9 +111,9 @@ class CrossAttention(Module):
 
     W_q, W_k, W_v: (c, d_attn); W_o: (d_attn, c); no biases; symmetric-uniform
     init scaled by 1/sqrt(fan_in). d_attn must be divisible by n_heads.
-    :func:`cross_attention_backward` writes the projection gradients into
-    ``grads``. ``LtaModel`` also registers the query it attends with here,
-    as ``query``.
+    The owner registers the query it attends with here, as ``query``
+    (``LtaModel`` does); :func:`cross_attention_backward` writes the
+    gradients of all five into ``grads``.
     """
 
     def __init__(self, rng: np.random.Generator | None, c: int, d_attn: int, n_heads: int, dtype=np.float64):
@@ -170,14 +171,13 @@ def cross_attention_forward(params: CrossAttention, query: np.ndarray,
     return out, cache
 
 
-def cross_attention_backward(params: CrossAttention, cache: dict,
-                             d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cross_attention_backward(params: CrossAttention, cache: dict, d_out: np.ndarray) -> None:
     """Backward of the batched forward pass; d_out is (B, c).
 
-    Writes the W_q, W_k, W_v and W_o gradients into ``params.grads``,
-    overwriting what they held, and returns (d_query (c,), d_frames
-    (B, N, c)); d_query is summed over the batch because the query is
-    shared.
+    Writes the W_q, W_k, W_v, W_o and ``query`` gradients into
+    ``params.grads``, overwriting what they held; the query gradient is
+    summed over the batch because the query is shared. Frames are inputs,
+    not parameters, so no frame gradient is computed.
     """
     Qh, Kh, Vh, rows = cache["Qh"], cache["Kh"], cache["Vh"], cache["rows"]
     B, H, N, _ = Kh.shape
@@ -188,13 +188,9 @@ def cross_attention_backward(params: CrossAttention, cache: dict,
 
     dq = dQh.sum(axis=0).reshape(-1)
     np.outer(cache["query"], dq, out=params.dW_q)
-    d_query = params.W_q @ dq
-
-    dK, dV = merge_heads(dKh).reshape(B * N, -1), merge_heads(dVh).reshape(B * N, -1)
-    np.matmul(rows.T, dK, out=params.dW_k)
-    np.matmul(rows.T, dV, out=params.dW_v)
-    d_frames = (dK @ params.W_k.T + dV @ params.W_v.T).reshape(B, N, -1)
-    return d_query, d_frames
+    np.matmul(params.W_q, dq, out=params.grads["query"])
+    np.matmul(rows.T, merge_heads(dKh).reshape(B * N, -1), out=params.dW_k)
+    np.matmul(rows.T, merge_heads(dVh).reshape(B * N, -1), out=params.dW_v)
 
 
 # ---------------------------------------------------------------------------

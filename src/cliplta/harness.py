@@ -134,14 +134,12 @@ def infer_clips_per_example(store: FeatureStore, example_id: str) -> int:
 
 @dataclass
 class Dataset:
-    """Batched arrays for one split, in ground-truth file order."""
+    """One split in ground-truth file order: its labels and exactly the arrays its model reads."""
 
     example_ids: list[str]
-    video: np.ndarray        # (B, T, d_video)
-    frames: np.ndarray | None   # (B, T, N, c); None once descriptors replace it
+    inputs: dict[str, np.ndarray]   # batch key ("video", "frames" or "clip_desc") -> (B, T, ...)
     verb_ids: np.ndarray     # (B, Z)
     noun_ids: np.ndarray
-    clip_desc: np.ndarray | None = None   # (B, T, d_clip) for precomputed variants
 
     def __len__(self) -> int:
         return len(self.example_ids)
@@ -149,17 +147,10 @@ class Dataset:
     @property
     def shape(self) -> tuple[int, int]:
         """(Z, clips per example)."""
-        return self.verb_ids.shape[1], self.video.shape[1]
+        return self.verb_ids.shape[1], next(iter(self.inputs.values())).shape[1]
 
-    def batch(self, idx: np.ndarray, model_cfg: LtaModelConfig) -> dict:
-        out = {}
-        if model_cfg.uses_video:
-            out["video"] = self.video[idx]
-        if model_cfg.clip_source == "attention":
-            out["frames"] = self.frames[idx]
-        elif model_cfg.d_clip > 0:
-            out["clip_desc"] = self.clip_desc[idx]
-        return out
+    def batch(self, idx: np.ndarray) -> dict:
+        return {key: array[idx] for key, array in self.inputs.items()}
 
 
 def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarray, noun_ids: np.ndarray,
@@ -185,25 +176,28 @@ def load_dataset(store: FeatureStore, example_ids: list[str], verb_ids: np.ndarr
                 )
             frames[b, t] = clip_frames
             video[b, t] = clip_video
-    return Dataset(example_ids=example_ids, video=video, frames=frames, verb_ids=verb_ids, noun_ids=noun_ids)
+    return Dataset(example_ids, {"video": video, "frames": frames}, verb_ids, noun_ids)
 
 
 def precompute_descriptors(dataset: Dataset, variant: str,
                            tables: dict[str, TextEmbeddingTable] | None) -> None:
-    """Fill dataset.clip_desc for variants whose aggregation has no trainable parts.
+    """Leave in ``dataset.inputs`` exactly the arrays ``variant``'s model reads.
 
-    Only ``clip_attention`` reads frames in the model, so every other variant
-    drops them (``dataset.frames`` becomes None) once its descriptors exist.
+    Only ``clip_attention`` reads frames in the model; the mean and text
+    sources replace them with their descriptors under ``"clip_desc"``, and
+    a variant that does not use video drops it.
     """
-    source = variant_spec(variant).clip_source
-    if source == "mean":
-        dataset.clip_desc = mean_pool(dataset.frames)
-    elif source == "text":
+    spec, inputs = variant_spec(variant), dataset.inputs
+    if spec.clip_source == "mean":
+        inputs["clip_desc"] = mean_pool(inputs["frames"])
+    elif spec.clip_source == "text":
         if tables is None:
             raise ValidationError(f"{variant} requires label text tables")
-        dataset.clip_desc = img_text_concat(dataset.frames, tables)
-    if source != "attention":
-        dataset.frames = None
+        inputs["clip_desc"] = img_text_concat(inputs["frames"], tables)
+    if spec.clip_source != "attention":
+        del inputs["frames"]
+    if not spec.uses_video:
+        del inputs["video"]
 
 
 def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, variant: str,
@@ -225,7 +219,15 @@ def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, var
             f"does not match the model's Z={shape[0]} with {shape[1]}"
         )
     dataset = load_dataset(store, example_ids, verb_ids, noun_ids, n_input_clips)
-    precompute_descriptors(dataset, variant, tables)
+    try:
+        precompute_descriptors(dataset, variant, tables)
+    except ValidationError as e:
+        # name the first clip whose frames average to zero, if that was the failure; found only now
+        zero = np.argwhere(~mean_pool(dataset.inputs["frames"]).any(axis=-1))
+        if not len(zero):
+            raise
+        clip_id = f"{example_ids[zero[0, 0]]}#{zero[0, 1]}"
+        raise ValidationError(f"{store.where(clip_id, 'frames_file')}: clip {clip_id!r}: {e}") from e
     return dataset
 
 
@@ -265,7 +267,7 @@ def _predict_dataset(model: LtaModel, dataset: Dataset, K: int, temperature: flo
     for start in range(0, len(dataset), batch_size):
         idx = np.arange(start, min(start + batch_size, len(dataset)))
         # only the logits: no forward cache stays live while sampling or into the next forward
-        verb_logits, noun_logits = model.forward_batch(dataset.batch(idx, model.config))[:2]
+        verb_logits, noun_logits = model.forward_batch(dataset.batch(idx))[:2]
         v, n = sample_candidates(verb_logits, noun_logits, K, temperature, seeds[start:start + batch_size])
         verb.append(v)
         noun.append(n)
@@ -276,7 +278,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
     """Train per config; returns (checkpoint dir, run log).
 
     Writes ``checkpoint/``, ``runlog.jsonl``, and ``train_config.json``
-    under cfg.out_dir.
+    under cfg.out_dir, after removing the last run's two files.
     """
     taxonomy = load_taxonomy(cfg.taxonomy)
     store = FeatureStore.open(cfg.store)
@@ -310,7 +312,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
         epoch_losses = []
         for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            batch = dataset.batch(idx, model_cfg)
+            batch = dataset.batch(idx)
             verb_logits, noun_logits, cache = model.forward_batch(batch)
             loss, d_verb, d_noun = batch_loss_and_grads(
                 verb_logits, noun_logits, dataset.verb_ids[idx], dataset.noun_ids[idx]
@@ -335,6 +337,9 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
         log.append(record)
 
     out_dir = Path(cfg.out_dir)
+    # the last run's files go first, so an interrupted save leaves no mixed set
+    for name in ("runlog.jsonl", "train_config.json"):
+        (out_dir / name).unlink(missing_ok=True)
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(model, ckpt_dir)
     log.save(out_dir / "runlog.jsonl")
@@ -349,11 +354,11 @@ def run_eval(checkpoint: str | Path, store_path: str | Path, gt_path: str | Path
 
     Featurization settings (text seed, prompt templates) come from the
     checkpoint config, so evaluation cannot silently diverge from training.
-    Writes predictions.json and report.json (under out_dir, default the
-    checkpoint's parent directory). The report scores the candidate arrays
-    in memory, against the ground truth ``load_split`` read and checked, so
-    it equals ``metrics.evaluate`` of the two files without parsing either
-    again.
+    Removes report.json, then writes predictions.json and report.json
+    (under out_dir, default the checkpoint's parent directory). The report
+    scores the candidate arrays in memory, against the ground truth
+    ``load_split`` read and checked, so it equals ``metrics.evaluate`` of
+    the two files without parsing either again.
     """
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
@@ -371,6 +376,8 @@ def run_eval(checkpoint: str | Path, store_path: str | Path, gt_path: str | Path
 
     verb, noun = _predict_dataset(model, dataset, K, temperature, seed)
     out_dir = Path(checkpoint).parent if out_dir is None else Path(out_dir)
+    # an interrupted run must not leave the last report beside these predictions
+    (out_dir / "report.json").unlink(missing_ok=True)
     pred_file = out_dir / "predictions.json"
     write_predictions(pred_file, dataset.example_ids, verb, noun, taxonomy.sha256())
     report = score(dataset.example_ids, verb, noun, dataset.verb_ids, dataset.noun_ids)

@@ -255,10 +255,7 @@ class LtaModel(nn.Module):
             dx = dx + d_memory
         dx.sum(axis=0, out=self._d_pos_embed)
         if ca_cache is not None:
-            B, T, _ = dx.shape
-            d_clip = dx[..., -self.config.c:].reshape(B * T, -1)
-            d_query, _ = cross_attention_backward(self.aggregator, ca_cache, d_clip)
-            self.aggregator.grads["query"][...] = d_query
+            cross_attention_backward(self.aggregator, ca_cache, dx[..., -self.config.c:].reshape(-1, self.config.c))
 
 
 def batch_loss_and_grads(verb_logits: np.ndarray, noun_logits: np.ndarray,

@@ -5,7 +5,8 @@ returns ``(output, cache)``, and ``backward(cache, d_out)`` returns one
 gradient per input (a tuple when the forward takes several) and *writes*
 its parameter gradients into its own registry, overwriting what the last
 step left there. No caller writes a module's parameter gradients for it,
-and nothing zeroes them between steps. This rests on one invariant: each
+not even the query that ``LtaModel`` registers on its aggregator, and
+nothing zeroes them between steps. This rests on one invariant: each
 module's ``backward`` runs exactly once per ``LtaModel.backward_batch``
 (every layer, head and aggregator is a distinct module), so gradients are
 never summed over two calls.

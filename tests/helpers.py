@@ -1,7 +1,7 @@
 """Shared test utilities: the brute-force edit oracle, the reference edit
-distance, gradient checking, single-clip attention, the one-example
-reference sampler, the reference split loader, the per-frame reference
-probe, and run-output fingerprints."""
+distance, gradient checking and parameters moved off their init,
+single-clip attention, the one-example reference sampler, the reference
+split loader, the per-frame reference probe, and run-output fingerprints."""
 
 import hashlib
 import json
@@ -134,6 +134,21 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) 
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def move_off_init(module: nn.Module, rng: np.random.Generator) -> None:
+    """Redraw, in place, the parameters whose init is a constant.
+
+    LayerNorm gains come from U(0.5, 1.5), and every bias and beta from
+    U(-0.5, 0.5), so a gradient check no longer runs where each gain is 1
+    and each shift 0 and a backward that confuses them still passes.
+    """
+    for name, array in module.named_parameters().items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gamma":
+            array[...] = rng.uniform(0.5, 1.5, array.shape)
+        elif leaf in ("b", "beta"):
+            array[...] = rng.uniform(-0.5, 0.5, array.shape)
+
+
 def finite_difference(loss_fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. one array.
 
@@ -253,5 +268,5 @@ def reference_load_dataset(store_root, example_ids: list[str], verb_ids: np.ndar
             clip_videos.append(read_blob(entry, "video_file", d_video))
         frame_stacks.append(np.stack(clip_frames))
         videos.append(np.stack(clip_videos))
-    return Dataset(example_ids=example_ids, video=np.stack(videos), frames=np.stack(frame_stacks),
+    return Dataset(example_ids=example_ids, inputs={"video": np.stack(videos), "frames": np.stack(frame_stacks)},
                    verb_ids=verb_ids, noun_ids=noun_ids)

@@ -31,9 +31,8 @@ from cliplta import (
     train,
     zero_shot_probe,
 )
-from cliplta.aggregate import cross_attention_backward, cross_attention_forward
 from cliplta.model import LtaModelConfig, batch_loss_and_grads
-from helpers import attend, brute_force_edit_distance, finite_difference, max_rel_err
+from helpers import attend, brute_force_edit_distance, finite_difference, max_rel_err, move_off_init
 
 RNG = lambda seed: np.random.default_rng(seed)
 
@@ -131,29 +130,13 @@ class TestGradientCorrectness:
         start = time.time()
         rng = RNG(2024)
 
-        for _ in range(20):
-            params = CrossAttention(rng, c=4, d_attn=4, n_heads=2)
-            query = rng.standard_normal(4)
-            frames = rng.standard_normal((3, 4))
-            probe = rng.standard_normal((1, 4))
-
-            def loss():
-                out, _ = cross_attention_forward(params, query, frames[None])
-                return float((out * probe).sum())
-
-            _, cache = cross_attention_forward(params, query, frames[None])
-            d_query, d_frames = cross_attention_backward(params, cache, probe)
-            grads = params.grads
-            for name in ("W_q", "W_k", "W_v", "W_o"):
-                assert max_rel_err(grads[name], finite_difference(loss, getattr(params, name))) < 1e-4
-            assert max_rel_err(d_query, finite_difference(loss, query)) < 1e-4
-            assert max_rel_err(d_frames[0], finite_difference(loss, frames)) < 1e-4
-
+        # clip_attention with a learned query: the aggregator's five gradients are checked in the model
         for trial in range(20):
             cfg = LtaModelConfig(variant="clip_attention", n_verbs=3, n_nouns=3, c=3, d_video=3,
                                  n_input_clips=2, Z=2, n_layers=1, n_heads_agg=2, d_ff=4,
                                  d_attn=4, n_heads_ca=2, learned_query=True, seed=trial)
             model = LtaModel(cfg, dtype=np.float64)
+            move_off_init(model, rng)
             batch = {
                 "video": rng.standard_normal((1, 2, 3)),
                 "frames": rng.standard_normal((1, 2, 2, 3)),

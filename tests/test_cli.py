@@ -216,6 +216,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: clip 'train_00000#0': frame 1 is a zero vector; cannot rank labels against it\n", err
 
+    def test_zero_clip_in_text_training_is_2_and_names_the_clip_and_entry(self, workspace, tmp_path, capsys):
+        import shutil
+
+        store_copy = shutil.copytree(workspace / "data" / "store", tmp_path / "store")
+        blob = store_copy / "clip_000000.frames.bin"
+        blob.write_bytes(bytes(len(blob.read_bytes())))
+        assert main([
+            "train", "--variant", "img_plus_clip_text",
+            "--store", str(store_copy), "--gt", str(workspace / "data" / "gt_train.json"),
+            "--taxonomy", str(workspace / "data" / "taxonomy.json"), "--out-dir", str(tmp_path / "run"),
+            "--epochs", "1", "--n-layers", "1", "--n-heads-agg", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: store manifest {store_copy / 'manifest.json'}: clips[0].frames_file: "
+                       "clip 'train_00000#0': cannot rank labels against a zero query vector\n"), err
+
     def test_out_of_range_ground_truth_id_is_2_before_training(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_train.json"
         payload = json.loads((workspace / "data" / "gt_train.json").read_text(encoding="utf-8"))

@@ -101,23 +101,41 @@ class TestTrain:
         calls = []
         real = harness.build_text_table
         monkeypatch.setattr(harness, "build_text_table", lambda *a: calls.append(a[1]) or real(*a))
-        # likewise, a split keeps its frames only for the variant whose model reads them
-        kept_frames = []
-        real_load_split = harness.load_split
+        # likewise, each split holds exactly the arrays its model reads
+        split_keys, read_keys = [], set()
+        real_load_split, real_featurize = harness.load_split, LtaModel.featurize_batch
 
         def load_split(*args):
             dataset = real_load_split(*args)
-            kept_frames.append(dataset.frames is not None)
+            split_keys.append(set(dataset.inputs))
             return dataset
 
+        class ReadKeys(dict):
+            def __getitem__(self, key):
+                read_keys.add(key)
+                return super().__getitem__(key)
+
         monkeypatch.setattr(harness, "load_split", load_split)
+        monkeypatch.setattr(LtaModel, "featurize_batch", lambda self, batch: real_featurize(self, ReadKeys(batch)))
         ckpt, _ = train(train_config(synth, tmp_path / "r", variant=variant, epochs=1, n_heads_ca=2,
                                      val_gt=str(synth.gt_val_path), eval_every=1))
         assert len(calls) == 4 * tables_built  # one table per category
         run_eval(ckpt, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=2,
                  out_dir=tmp_path / "e")
         assert len(calls) == 8 * tables_built
-        assert kept_frames == [VARIANTS[variant].clip_source == "attention"] * 3   # train, val, eval
+        assert split_keys == [read_keys] * 3   # train, val, eval
+        assert ("video" in read_keys) == (variant != "clip_img_only")
+
+    def test_interrupted_save_leaves_no_runlog_or_config_of_the_last_run(self, synth, tmp_path, monkeypatch):
+        train(train_config(synth, tmp_path, epochs=1))
+
+        def interrupted(*args):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(harness, "save_checkpoint", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            train(train_config(synth, tmp_path, epochs=1, seed=1))
+        assert not (tmp_path / "runlog.jsonl").exists() and not (tmp_path / "train_config.json").exists()
 
     def test_val_split_with_other_horizon_rejected(self, synth, tmp_path):
         example_ids, verb, noun, gt_hash = read_ground_truth(synth.gt_val_path)
@@ -223,6 +241,22 @@ class TestRunEval:
         saved = json.loads((tmp_path / "r" / "report.json").read_text())
         assert saved["verb_ed"] == report.verb_ed
         assert saved["n_examples"] == report.n_examples
+
+    def test_interrupted_eval_leaves_no_report_of_other_predictions(self, synth, trained, tmp_path, monkeypatch):
+        run_eval(trained, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=0, out_dir=tmp_path)
+
+        def interrupted(*args):
+            raise RuntimeError("interrupted")
+
+        # a seed-5 rerun into the seed-0 outputs stops between its two writes
+        monkeypatch.setattr(harness, "score", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_eval(trained, synth.store_path, synth.gt_val_path, synth.taxonomy_path, K=3, seed=5,
+                     out_dir=tmp_path)
+        report = tmp_path / "report.json"
+        if report.exists():
+            rescored = evaluate(tmp_path / "predictions.json", synth.gt_val_path, load_taxonomy(synth.taxonomy_path))
+            assert json.loads(report.read_text(encoding="utf-8")) == rescored.to_dict()
 
     def test_multi_batch_predictions_are_byte_identical(self, tmp_path):
         # 70 examples span a full eval batch of 64 and a partial one

@@ -16,7 +16,7 @@ from cliplta import (
 )
 from cliplta.harness import precompute_descriptors
 from cliplta.model import VARIANTS, batch_loss_and_grads
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, max_rel_err, move_off_init
 
 
 def tiny_config(variant="img_plus_clip", **kw):
@@ -129,6 +129,7 @@ class TestForward:
     def test_gradients_every_variant(self, variant, rng):
         cfg = tiny_config(variant, n_verbs=3, n_nouns=3, learned_query=True)
         model = LtaModel(cfg, dtype=np.float64)
+        move_off_init(model, rng)
         batch = make_batch(cfg, rng, B=2)
         verb_ids = rng.integers(0, 3, (2, cfg.Z))
         noun_ids = rng.integers(0, 3, (2, cfg.Z))
@@ -222,13 +223,10 @@ def raw_clips(cfg, rng, B, N):
 
 
 def model_inputs(cfg, video, frames, tables):
-    """Model batch of raw clips: precomputed descriptors as the harness computes them."""
-    split = SimpleNamespace(frames=frames, clip_desc=None)
+    """Model batch of raw clips: the variant's inputs as the harness leaves them."""
+    split = SimpleNamespace(inputs={"video": video, "frames": frames})
     precompute_descriptors(split, cfg.variant, tables)
-    batch = {"video": video, "frames": frames}
-    if split.clip_desc is not None:
-        batch["clip_desc"] = split.clip_desc
-    return batch
+    return split.inputs
 
 
 class TestInvariances:

@@ -138,10 +138,12 @@ def test_load_dataset_is_byte_equal_to_reference(B, T, N, c, d_video, seed):
         store = FeatureStore.open(root)
         got = load_dataset(store, example_ids, verb_ids, noun_ids, T)
         want = reference_load_dataset(root, example_ids, verb_ids, noun_ids, T)
-        for name in ("frames", "video"):
-            g, w = getattr(got, name), getattr(want, name)
+        assert set(got.inputs) == set(want.inputs) == {"frames", "video"}
+        for name, g in got.inputs.items():
+            w = want.inputs[name]
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert got.frames.tobytes() == frames.tobytes() and got.video.tobytes() == video.tobytes()
+        assert got.inputs["frames"].tobytes() == frames.tobytes()
+        assert got.inputs["video"].tobytes() == video.tobytes()
         # each array read_clip returns is its own: writing into it leaves the next read unchanged
         clip_frames, clip_video = store.read_clip("e0#0")
         for array in (clip_frames, clip_video):
