@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregate import img_text_concat, mean_pool
 from .errors import NumericError, ValidationError, check_minimums, write_file
-from .featurestore import FeatureStore, TextEmbeddingTable, build_text_table
+from .featurestore import MANIFEST_NAME, FeatureStore, TextEmbeddingTable, build_text_table
 from .metrics import EvalReport, check_labels, ed_at_zk, read_ground_truth, score, write_predictions
 # run_eval scores from memory and does not call evaluate; the name is bound here because the
 # benchmark's tracer (perfbench/spans.py) wraps harness.evaluate, and fails without it
@@ -218,6 +218,15 @@ def load_split(store: FeatureStore, gt_path: str | Path, taxonomy: Taxonomy, var
             f"ground truth {gt_path}: horizon Z={Z} with {n_input_clips} clips per example "
             f"does not match the model's Z={shape[0]} with {shape[1]}"
         )
+    # every example has exactly the first one's clips, checked before any is read
+    for example_id in example_ids:
+        for t in range(n_input_clips + 1):
+            if (f"{example_id}#{t}" in store) != (t < n_input_clips):
+                raise ValidationError(
+                    f"ground truth {gt_path}: example {example_id!r}: store manifest {store.root / MANIFEST_NAME} "
+                    f"{'has no' if t < n_input_clips else 'has an extra'} clip '{example_id}#{t}' "
+                    f"(every example needs {n_input_clips} clips, as '{example_ids[0]}' has)"
+                )
     dataset = load_dataset(store, example_ids, verb_ids, noun_ids, n_input_clips)
     try:
         precompute_descriptors(dataset, variant, tables)
@@ -330,7 +339,7 @@ def train(cfg: TrainConfig) -> tuple[Path, RunLog]:
             "train_loss": float(np.mean(epoch_losses)),
             "wall_time": round(time.time() - epoch_start, 6),
         }
-        if val_dataset is not None and cfg.eval_every > 0 and (epoch + 1) % cfg.eval_every == 0:
+        if val_dataset is not None and (epoch + 1) % (cfg.eval_every or cfg.epochs) == 0:
             verb, noun = _predict_dataset(model, val_dataset, cfg.K, cfg.temperature, cfg.seed)
             verb_ed, noun_ed = ed_at_zk(verb, noun, val_dataset.verb_ids, val_dataset.noun_ids)
             record["val_verb_ed"], record["val_noun_ed"] = float(np.mean(verb_ed)), float(np.mean(noun_ed))

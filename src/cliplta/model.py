@@ -232,9 +232,7 @@ class LtaModel(nn.Module):
         for layer in self.encoder:
             x, c = layer.forward(x, x)
             enc_caches.append(c)
-        B = tokens.shape[0]
-        qb = np.broadcast_to(self.step_queries, (B,) + self.step_queries.shape).astype(self.dtype, copy=False)
-        y, c_dec = self.decoder.forward(qb, x)
+        y, c_dec = self.decoder.forward(self.step_queries, x)
         verb_logits, c_vh = self.verb_head.forward(y)
         noun_logits, c_nh = self.noun_head.forward(y)
         return verb_logits, noun_logits, (ca_cache, enc_caches, c_dec, c_vh, c_nh)
@@ -318,11 +316,7 @@ def sample_candidates(verb_logits: np.ndarray, noun_logits: np.ndarray, K: int, 
         ids = np.empty((B, K, Z), dtype=np.int64)
         ids[:, 0] = logits.argmax(axis=-1)
         if K > 1:
-            # nn.softmax and the cumsum, step by step in one float64 buffer: the same ops, the same bytes
-            cdf = logits / temperature
-            cdf -= cdf.max(axis=-1, keepdims=True)
-            np.exp(cdf, out=cdf)
-            cdf /= cdf.sum(axis=-1, keepdims=True)
+            cdf = nn.softmax(logits / temperature)
             np.cumsum(cdf, axis=-1, out=cdf)
             cdf /= cdf[..., -1:]
             ids[:, 1:] = np.count_nonzero(cdf[:, None] <= uniforms[:, :, kind, :, None], axis=-1)

@@ -15,7 +15,13 @@ never summed over two calls.
 (scaled scores, softmax, weighted values and their backward) over heads
 that :func:`split_heads` and :func:`merge_heads` lay out.
 :class:`MultiHeadAttention` and the cross-attention aggregator of
-:mod:`cliplta.aggregate` both call them.
+:mod:`cliplta.aggregate` both call them. The one :func:`softmax` works in
+place: it overwrites its argument and returns it, so callers pass a fresh
+array. A query without the batch axis, such as the decoder's (Z, D) step
+queries, is projected once and broadcast over B by the attention and the
+residual; ``Linear.backward`` broadcasts such a cached input to ``d_out``'s
+leading shape, so its weight gradient stays one GEMM over every row, with
+the bytes of a materialised (B, Z, D) input.
 
 :class:`TransformerLayer` is the one transformer block: ``forward(x,
 memory)`` lets ``x`` attend over ``memory``. The encoder calls it with
@@ -46,9 +52,11 @@ from .errors import ValidationError
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along ``axis``, computed in place: overwrites ``x`` and returns it."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def init_uniform(rng: np.random.Generator | None, bound: float, shape, dtype) -> np.ndarray:
@@ -118,8 +126,8 @@ class Linear(Module):
         return y.reshape(x.shape[:-1] + (d_outw,)), x
 
     def backward(self, cache, d_out: np.ndarray) -> np.ndarray:
-        x = cache
         d_in, d_outw = self.W.shape
+        x = cache if cache.shape[:-1] == d_out.shape[:-1] else np.broadcast_to(cache, d_out.shape[:-1] + (d_in,))
         g = d_out.reshape(-1, d_outw)
         np.matmul(x.reshape(-1, d_in).T, g, out=self.dW)
         g.sum(axis=0, out=self.db)

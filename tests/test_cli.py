@@ -232,6 +232,46 @@ class TestExitCodes:
         assert err == (f"error: store manifest {store_copy / 'manifest.json'}: clips[0].frames_file: "
                        "clip 'train_00000#0': cannot rank labels against a zero query vector\n"), err
 
+    @pytest.mark.parametrize("command, clip_id, change", [
+        ("train", "train_00002#1", "missing"), ("train", "train_00002#2", "extra"),
+        ("eval", "val_00001#1", "missing"), ("eval", "val_00001#2", "extra"),
+    ])
+    def test_missing_or_extra_clip_is_2_and_names_its_files_before_any_read(self, workspace, tmp_path, capsys,
+                                                                            monkeypatch, command, clip_id, change):
+        import shutil
+
+        from cliplta import FeatureStore
+
+        store = shutil.copytree(workspace / "data" / "store", tmp_path / "store")
+        manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+        example_id = clip_id.split("#")[0]
+        if change == "missing":
+            manifest["clips"] = [entry for entry in manifest["clips"] if entry["id"] != clip_id]
+        else:
+            entry = next(entry for entry in manifest["clips"] if entry["id"] == f"{example_id}#1")
+            manifest["clips"].append({**entry, "id": clip_id})
+        (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        reads = []
+        read_clip = FeatureStore.read_clip
+        monkeypatch.setattr(FeatureStore, "read_clip", lambda self, cid: reads.append(cid) or read_clip(self, cid))
+        data = workspace / "data"
+        gt = data / ("gt_train.json" if command == "train" else "gt_val.json")
+        args = ["--store", str(store), "--gt", str(gt), "--taxonomy", str(data / "taxonomy.json"),
+                "--out-dir", str(tmp_path / "r")]
+        if command == "train":
+            args += ["--variant", "img_plus_clip", "--epochs", "1", "--n-layers", "1", "--n-heads-agg", "2"]
+        else:
+            args += ["--checkpoint", str(workspace / "run" / "checkpoint")]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        first = example_id.split("_")[0] + "_00000"
+        verb = "has no" if change == "missing" else "has an extra"
+        assert err == (f"error: ground truth {gt}: example {example_id!r}: "
+                       f"store manifest {store / 'manifest.json'} {verb} clip {clip_id!r} "
+                       f"(every example needs 2 clips, as {first!r} has)\n"), err
+        assert reads == []
+        assert not (tmp_path / "r").exists()
+
     def test_out_of_range_ground_truth_id_is_2_before_training(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt_train.json"
         payload = json.loads((workspace / "data" / "gt_train.json").read_text(encoding="utf-8"))

@@ -69,6 +69,12 @@ class TestTrain:
         assert "val_verb_ed" in last and "val_noun_ed" in last
         assert Path(ckpt).is_dir()
 
+    def test_default_eval_every_evaluates_after_the_last_epoch_only(self, synth, tmp_path):
+        out = tmp_path / "run"
+        train(train_config(synth, out, val_gt=str(synth.gt_val_path), epochs=3))
+        records = [json.loads(line) for line in (out / "runlog.jsonl").read_text().splitlines()]
+        assert [("val_verb_ed" in r, "val_noun_ed" in r) for r in records] == [(False, False)] * 2 + [(True, True)]
+
     def test_deterministic_run(self, synth, tmp_path):
         cfg_a = train_config(synth, tmp_path / "a", seed=11)
         cfg_b = train_config(synth, tmp_path / "b", seed=11)

@@ -11,6 +11,7 @@ from cliplta import (
     NumericError,
     ValidationError,
     load_checkpoint,
+    nn,
     sample_candidates,
     save_checkpoint,
 )
@@ -166,6 +167,46 @@ class TestGradientsAreWrittenOnce:
             grad.fill(np.nan)
         model.backward_batch(cache, dv, dn)
         assert {name: grad.tobytes() for name, grad in model.named_grads().items()} == after_zeroing
+
+
+class TestStepQueriesEnterOnce:
+    """The decoder projects its (Z, D) step queries once per batch; attention broadcasts them over B."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_q_proj_receives_the_step_queries_unbroadcast(self, variant, rng, monkeypatch):
+        cfg = tiny_config(variant)
+        model = LtaModel(cfg)
+        q_proj, shapes = model.decoder.attn.q_proj, []
+        forward = q_proj.forward
+        monkeypatch.setattr(q_proj, "forward", lambda x: shapes.append(x.shape) or forward(x))
+        v, _, _ = model.forward_batch(make_batch(cfg, rng, B=3))
+        assert shapes == [(cfg.Z, cfg.d_model)]
+        assert v.shape == (3, cfg.Z, cfg.n_verbs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_backward_of_a_broadcast_input_matches_the_materialised_input(self, dtype, rng):
+        x = rng.standard_normal((5, 6)).astype(dtype)
+        d_out = rng.standard_normal((4, 5, 3)).astype(dtype)
+        results = []
+        for cached in (x, np.broadcast_to(x, (4, 5, 6)).copy()):
+            layer = nn.Linear(np.random.default_rng(1), 6, 3, dtype)
+            dx = layer.backward(cached, d_out)
+            results.append((dx.shape, dx.dtype, dx.tobytes(), layer.dW.tobytes(), layer.db.tobytes()))
+        assert results[0] == results[1]
+        assert results[0][:2] == ((4, 5, 6), dtype)
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_in_place_with_the_bytes_of_the_out_of_place_form(self, dtype, axis, rng):
+        x = (rng.standard_normal((3, 4, 7)) * 10).astype(dtype)
+        shifted = x - x.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=axis, keepdims=True)
+        got = nn.softmax(x, axis=axis)
+        assert got is x
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def cached_arrays(obj):
